@@ -149,9 +149,6 @@ class ClusterFrontend {
   [[nodiscard]] std::vector<std::size_t> replica_set(
       const std::string& model_id) const;
 
-  /// Requests stolen between co-located shards, summed across nodes.
-  [[nodiscard]] std::uint64_t requests_stolen() const;
-
  private:
   /// Transport endpoint of one node: call() == hand the node the frame.
   class NodeTransport final : public Transport {

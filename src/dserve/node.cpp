@@ -153,12 +153,6 @@ bool ServingNode::report_observation(std::uint64_t request_id,
   return service_->report_observation(request_id, observed_seconds);
 }
 
-std::uint64_t ServingNode::service_counter(const std::string& name) const {
-  const std::shared_lock lock(mutex_);
-  if (!service_) return 0;
-  return service_->metrics().counter(name).value();
-}
-
 serve::PredictionService* ServingNode::service() {
   const std::shared_lock lock(mutex_);
   return crashed_ ? nullptr : service_.get();

@@ -84,12 +84,6 @@ class ServingNode {
   /// PredictionService::report_observation); false when crashed.
   bool report_observation(std::uint64_t request_id, double observed_seconds);
 
-  /// Rolled-up counter value off the service's registry — how the
-  /// frontend sums e.g. requests_stolen cluster-wide. A crashed node
-  /// still reports (state is lost at restart, not crash); a restarted
-  /// node reports from zero.
-  [[nodiscard]] std::uint64_t service_counter(const std::string& name) const;
-
   /// Node-level registry: the node's own lifecycle instruments plus the
   /// live service's registry merged unprefixed, so attaching this as
   /// "node<k>" yields node<k>/requests_total and node<k>/shard<j>/...

@@ -1,7 +1,7 @@
 // The serving stack's request/result vocabulary.
 //
-// Shared by every layer — admission (admission.hpp), routing
-// (router.hpp), the per-shard execution engine (shard.hpp), the facade
+// Shared by every layer — routing (router.hpp), the per-shard
+// admission queue and execution engine (shard.hpp), the facade
 // (service.hpp) and the wire codec (wire.hpp) — so it lives below all of
 // them. Nothing here knows about queues, shards or workers: these are
 // plain value types.

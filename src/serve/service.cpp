@@ -10,8 +10,7 @@ PredictionService::PredictionService(ServiceOptions options)
       clock_(options.clock ? options.clock : support::real_clock()),
       router_(options.shards, options.router_vnodes),
       epochs_published_(metrics_.counter("epochs_published")),
-      observations_unmatched_(metrics_.counter("observations_unmatched")),
-      requests_stolen_(metrics_.counter("requests_stolen")) {
+      observations_unmatched_(metrics_.counter("observations_unmatched")) {
   SSPRED_REQUIRE(options_.shards >= 1 && options_.shards <= kMaxShards,
                  "service needs 1.." + std::to_string(kMaxShards) +
                      " shards");
@@ -75,40 +74,9 @@ std::future<PredictResult> PredictionService::submit(PredictRequest request) {
   // that reports the structured error is stable too.
   job.model = models_.find(job.request.model_id);
   job.enqueue_time = clock_->now();
-  const std::size_t routed = job.model
-                                 ? router_.route_hash(job.model->key_hash)
-                                 : router_.route(job.request.model_id);
-  std::size_t shard = routed;
-  // Work stealing: when one family's stream has piled its home shard's
-  // queue `steal_threshold` deeper than the least-loaded shard, spill
-  // onto that shard. Fusion/cache affinity is lost for the stolen
-  // request, but a result now beats a perfectly-fused result later —
-  // and per-request values are shard-independent, so correctness is
-  // untouched. Only available shards are candidates: stealing balances
-  // load, it never overrides an operator's unavailability mark.
-  if (options_.steal_threshold > 0 && shards_.size() > 1 &&
-      available_[routed].load(std::memory_order_acquire)) {
-    const std::size_t depth = shards_[routed]->queue_depth();
-    if (depth >= options_.steal_threshold) {
-      std::size_t best = routed;
-      std::size_t best_depth = depth;
-      for (std::size_t s = 0; s < shards_.size(); ++s) {
-        if (s == routed ||
-            !available_[s].load(std::memory_order_acquire)) {
-          continue;
-        }
-        const std::size_t d = shards_[s]->queue_depth();
-        if (d < best_depth) {
-          best = s;
-          best_depth = d;
-        }
-      }
-      if (best != routed && best_depth + options_.steal_threshold <= depth) {
-        shard = best;
-        requests_stolen_.increment();
-      }
-    }
-  }
+  const std::size_t shard = job.model
+                                ? router_.route_hash(job.model->key_hash)
+                                : router_.route(job.request.model_id);
   job.id = (next_seq_.fetch_add(1, std::memory_order_relaxed) << kShardBits) |
            shard;
   auto future = job.promise.get_future();

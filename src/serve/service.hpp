@@ -6,8 +6,8 @@
 //
 // but behind it the stack is now four layers (DESIGN.md §13):
 //
-//   admission  — per-shard lock-free bounded queue with exact,
-//                per-reason shedding                    (admission.hpp)
+//   admission  — per-shard bounded queue under the shard lock, with
+//                exact, per-reason shedding                (shard.hpp)
 //   routing    — consistent-hash ShardRouter sending every request for
 //                one model structure to one shard        (router.hpp)
 //   execution  — S PredictionShards, each a complete engine: worker
@@ -156,7 +156,6 @@ class PredictionService {
   ShardRouter router_;
   Counter& epochs_published_;
   Counter& observations_unmatched_;
-  Counter& requests_stolen_;
   std::vector<std::unique_ptr<PredictionShard>> shards_;
   std::unique_ptr<std::atomic<bool>[]> available_;
 

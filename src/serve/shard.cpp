@@ -71,7 +71,6 @@ PredictionShard::PredictionShard(std::size_t index,
       options_(options),
       clock_(std::move(clock)),
       models_(models),
-      ring_(options.queue_capacity),
       requests_total_{global.counter("requests_total"),
                       local_.counter("requests_total")},
       requests_ok_{global.counter("requests_ok"),
@@ -150,22 +149,21 @@ PredictionShard::PredictionShard(std::size_t index,
 }
 
 PredictionShard::~PredictionShard() {
-  ring_.close();  // subsequent submits shed as "service stopped"
   {
     const std::lock_guard lock(mutex_);
-    stop_ = true;
+    stop_ = true;  // subsequent submits shed as "service stopped"
   }
   cv_.notify_all();
   for (auto& t : threads_) t.join();
 
-  // Resolve whatever was still queued so no future is left broken.
-  stage_admitted();  // workers are gone; safe without the lock
+  // Resolve whatever was still queued so no future is left broken
+  // (workers are gone; safe without the lock).
   std::int64_t drained = 0;
-  for (auto& job : staging_) {
+  for (auto& job : queue_) {
     ++drained;
     reject(std::move(job), rejected_stopped_, "service stopped");
   }
-  staging_.clear();
+  queue_.clear();
   queue_depth_.add(-drained);
   for (auto& chunk : chunks_) {
     auto& shared = *chunk.shared;
@@ -204,29 +202,24 @@ void PredictionShard::submit(Job job) {
     const std::lock_guard lock(epoch_mutex_);
     job.epoch = epoch_;
   }
-  switch (ring_.try_push(job)) {
-    case AdmissionQueue<Job>::Push::kOk: {
-      queue_depth_.add(1);
-      // Mutex-free fast path: only when some worker advertised idleness
-      // does the producer touch the shard lock (empty critical section —
-      // it fences the sleeper's check-then-wait window, see admission.hpp)
-      // and signal. Under load idle_ is zero and submission is a handful
-      // of atomics end to end.
-      if (idle_.load(std::memory_order_seq_cst) > 0) {
-        { const std::lock_guard lock(mutex_); }
-        cv_.notify_one();
-      }
+  {
+    std::unique_lock lock(mutex_);
+    if (stop_) {
+      lock.unlock();
+      reject(std::move(job), rejected_stopped_, "service stopped");
       return;
     }
-    case AdmissionQueue<Job>::Push::kFull:
+    if (queue_.size() >= options_.queue_capacity) {
+      lock.unlock();
       reject(std::move(job), rejected_queue_full_,
              "queue full (capacity " +
                  std::to_string(options_.queue_capacity) + ")");
       return;
-    case AdmissionQueue<Job>::Push::kClosed:
-      reject(std::move(job), rejected_stopped_, "service stopped");
-      return;
+    }
+    queue_.push_back(std::move(job));
+    queue_depth_.add(1);
   }
+  cv_.notify_one();
 }
 
 void PredictionShard::reject_unavailable(Job job) {
@@ -262,17 +255,12 @@ void PredictionShard::resume() {
 }
 
 bool PredictionShard::has_work() const {
-  return !chunks_.empty() || !staging_.empty() || ring_.size() > 0;
+  return !chunks_.empty() || !queue_.empty();
 }
 
 void PredictionShard::drain() {
   std::unique_lock lock(mutex_);
   idle_cv_.wait(lock, [&] { return stop_ || (!has_work() && busy_ == 0); });
-}
-
-void PredictionShard::stage_admitted() {
-  Job job;
-  while (ring_.try_pop(job)) staging_.push_back(std::move(job));
 }
 
 bool PredictionShard::coalescable(const Job& a, const Job& b) const {
@@ -327,26 +315,8 @@ void PredictionShard::worker_loop() {
   WorkerState state;
   std::unique_lock lock(mutex_);
   for (;;) {
-    // Sleep protocol (the consumer half of the mutex-free submit path):
-    // advertise idleness FIRST, re-check the ring AFTER — seq_cst on
-    // idle_ and the ring's size counter gives a total order in which
-    // either this re-check sees the producer's push, or the producer's
-    // post-push idle_ read sees our advertisement and signals.
-    for (;;) {
-      if (stop_) return;
-      if (!paused_) {
-        if (!chunks_.empty() || !staging_.empty()) break;
-        stage_admitted();
-        if (!staging_.empty()) break;
-      }
-      idle_.fetch_add(1, std::memory_order_seq_cst);
-      if (!paused_ && !stop_ && ring_.size() > 0) {
-        idle_.fetch_sub(1, std::memory_order_seq_cst);
-        continue;  // a push landed between the drain and the advert
-      }
-      cv_.wait(lock);
-      idle_.fetch_sub(1, std::memory_order_seq_cst);
-    }
+    cv_.wait(lock, [&] { return stop_ || (!paused_ && has_work()); });
+    if (stop_) return;
 
     if (!chunks_.empty()) {
       // Internal Monte-Carlo chunks jump the external queue: they
@@ -359,10 +329,10 @@ void PredictionShard::worker_loop() {
       execute_chunk(chunk, state);
     } else {
       std::vector<Lane> lanes;
-      lanes.push_back(Lane{std::move(staging_.front()), {}});
-      staging_.pop_front();
+      lanes.push_back(Lane{std::move(queue_.front()), {}});
+      queue_.pop_front();
       std::int64_t taken = 1;
-      // Dequeue-time grouping. Each staged job first tries to collapse
+      // Dequeue-time grouping. Each queued job first tries to collapse
       // onto ANY open lane with identical bindings (one evaluation, result
       // fanned out) and only then to open a new lane of the fused sweep —
       // so mixed streams of identical and merely structure-equal requests
@@ -370,8 +340,7 @@ void PredictionShard::worker_loop() {
       // program cache: the sweep shares one compiled program.
       const bool fuse = options_.enable_fusion && options_.enable_cache;
       if (options_.enable_coalescing || fuse) {
-        stage_admitted();  // scan late arrivals too, like the old queue
-        for (auto it = staging_.begin(); it != staging_.end();) {
+        for (auto it = queue_.begin(); it != queue_.end();) {
           Job& other = *it;
           bool taken_one = false;
           if (options_.enable_coalescing) {
@@ -391,7 +360,7 @@ void PredictionShard::worker_loop() {
             taken_one = true;
           }
           if (taken_one) {
-            it = staging_.erase(it);
+            it = queue_.erase(it);
             ++taken;
           } else {
             ++it;

@@ -4,13 +4,14 @@
 // The layered decomposition (DESIGN.md §13): the facade
 // (service.hpp) owns a ShardRouter and S PredictionShards; each shard
 // owns the full per-request machinery the old monolith had — a
-// lock-free bounded AdmissionQueue, a worker pool, a structure-keyed
-// ProgramCache, dequeue-time coalescing/fusion, Monte-Carlo chunk
-// fan-out, its own bindings-epoch pin and completed-prediction FIFO —
-// over a *structure-affine* slice of the request stream: consistent-hash
-// routing sends every request for one model structure to one shard, so a
-// shard's fusion scan only ever sees requests that can actually fuse,
-// and its program cache holds exactly the structures it serves.
+// bounded admission queue under the shard lock, a worker pool, a
+// structure-keyed ProgramCache, dequeue-time coalescing/fusion,
+// Monte-Carlo chunk fan-out, its own bindings-epoch pin and
+// completed-prediction FIFO — over a *structure-affine* slice of the
+// request stream: consistent-hash routing sends every request for one
+// model structure to one shard, so a shard's fusion scan only ever sees
+// requests that can actually fuse, and its program cache holds exactly
+// the structures it serves.
 //
 // Determinism: a shard processes its slice exactly as the unsharded
 // service processed the whole stream (same scan, same kernels, same
@@ -24,7 +25,6 @@
 // "shard<k>/..." when there is more than one shard).
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -42,7 +42,6 @@
 #include "calib/ledger.hpp"
 #include "learn/arbiter.hpp"
 #include "learn/bank.hpp"
-#include "serve/admission.hpp"
 #include "serve/epoch.hpp"
 #include "serve/metrics.hpp"
 #include "serve/program_cache.hpp"
@@ -59,7 +58,9 @@ namespace sspred::serve {
 struct ServiceOptions {
   std::size_t shards = 1;  ///< prediction shards (structure-affine slices)
   std::size_t workers = 4;  ///< worker threads per shard
-  /// Queued external requests beyond this (per shard) are rejected.
+  /// Admitted, not-yet-dequeued requests per shard: a submit that finds
+  /// this many waiting is shed as "queue full". The bound holds while
+  /// workers run as well as while they are paused.
   std::size_t queue_capacity = 1024;
   /// Virtual nodes per shard on the routing ring (see router.hpp).
   std::size_t router_vnodes = 64;
@@ -78,14 +79,6 @@ struct ServiceOptions {
   /// batch runs through the same executor.
   bool enable_fusion = true;
   std::size_t max_batch = 64;  ///< coalesced/fused requests per evaluation
-  /// Work stealing between co-located shards: when the routed shard's
-  /// admission backlog exceeds the least-loaded available shard's by at
-  /// least this many requests, the request is submitted to that shard
-  /// instead (counted as requests_stolen). Trades structure affinity
-  /// (fusion/cache locality on the thief) for queue balance under skewed
-  /// family load; per-request results stay bit-exact on any shard.
-  /// 0 disables stealing — affinity is strict.
-  std::size_t steal_threshold = 0;
   /// Monte-Carlo requests with more trials than this are split into
   /// chunks executed across the shard's pool (when workers > 1).
   std::size_t mc_chunk_trials = 2048;
@@ -178,7 +171,8 @@ class PredictionShard {
 
   /// Admits `job` (pinning the shard's current epoch) or sheds it with a
   /// per-reason rejection count; the job's promise is always resolved.
-  /// Lock-free on the admit path (see admission.hpp).
+  /// Capacity check and enqueue happen under the shard lock, so
+  /// queue_capacity is exact.
   void submit(Job job);
 
   /// Routing-layer shed: accounts the job against this shard
@@ -202,12 +196,6 @@ class PredictionShard {
   [[nodiscard]] ProgramCache& cache() noexcept { return cache_; }
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return local_; }
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
-
-  /// Admitted requests not yet staged for execution — the lock-free
-  /// imbalance signal the facade's work stealing compares across
-  /// co-located shards (transiently overshoots by in-flight pushes,
-  /// see AdmissionQueue::size()).
-  [[nodiscard]] std::size_t queue_depth() const { return ring_.size(); }
 
  private:
   // Dual instruments: one bump updates the rolled-up service-wide
@@ -380,8 +368,6 @@ class PredictionShard {
   /// Rejects `job` with `reason` text, bumping `why` (and the rolled-up
   /// rejection counters).
   void reject(Job&& job, DualCounter& why, std::string reason);
-  /// Drains the admission ring into staging_ (dequeue-time view refresh).
-  void stage_admitted();
   [[nodiscard]] bool has_work() const;
   [[nodiscard]] double now() const noexcept { return clock_->now(); }
 
@@ -392,21 +378,13 @@ class PredictionShard {
   MetricsRegistry local_;  ///< shard-scoped registry (metrics())
   ProgramCache cache_;
 
-  // --- Admission layer -------------------------------------------------
-  AdmissionQueue<Job> ring_;
-  /// Workers that advertised idleness and (re)checked for work; a
-  /// producer only touches mutex_/cv_ when this is nonzero, so the
-  /// loaded admit path never serializes on the shard lock. seq_cst
-  /// against the ring's size counter (see admission.hpp).
-  std::atomic<std::int64_t> idle_{0};
-
-  // --- Worker-side state (guarded by mutex_) ---------------------------
+  // --- Admission queue and worker-side state (guarded by mutex_) ------
   mutable std::mutex mutex_;
   std::condition_variable cv_;       ///< work available / state change
   std::condition_variable idle_cv_;  ///< queues empty + workers idle
-  /// Admitted jobs staged for the dequeue-time coalesce/fuse scan (the
-  /// ring itself is not scannable; workers drain it here first).
-  std::deque<Job> staging_;
+  /// Admitted jobs, oldest first, at most options_.queue_capacity of
+  /// them; the dequeue-time coalesce/fuse scan reads it in place.
+  std::deque<Job> queue_;
   std::deque<McChunk> chunks_;  ///< internal MC chunks; jump the queue
   bool paused_ = false;
   bool stop_ = false;

@@ -228,6 +228,42 @@ TEST(ServeProgramCache, ConcurrentFirstCompilationIsSingleFlight) {
   }
 }
 
+// A spec that cannot compile is compiled once however many threads race
+// on it: every caller gets the same structured error, and the cached
+// failure is rethrown later without another compile attempt.
+TEST(ServeProgramCache, FailedCompilationIsSingleFlightAndCached) {
+  ModelSpec bad = small_spec();
+  bad.platform.hosts.clear();  // no hosts: nothing to decompose onto
+  ProgramCache cache;
+  constexpr int kThreads = 8;
+  std::vector<std::thread> threads;
+  std::vector<std::string> errors(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&cache, &bad, &errors, t] {
+      try {
+        (void)cache.get_or_compile(bad);
+      } catch (const support::Error& e) {
+        errors[size_t(t)] = e.what();
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(cache.compile_count(), 1u);
+  for (const auto& error : errors) {
+    EXPECT_NE(error.find("model compilation failed"), std::string::npos)
+        << error;
+    EXPECT_EQ(error, errors[0]);
+  }
+  try {
+    (void)cache.get_or_compile(bad);
+    ADD_FAILURE() << "cached failure was not rethrown";
+  } catch (const support::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("model compilation failed"),
+              std::string::npos);
+  }
+  EXPECT_EQ(cache.compile_count(), 1u);
+}
+
 TEST(ServeEpoch, BridgePublishesVersionedConsistentSnapshots) {
   nws::ServiceOptions nws_options;
   nws_options.history_capacity = 64;

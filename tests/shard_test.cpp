@@ -1,7 +1,7 @@
 // Tests for the layered serving stack's new layers (src/serve/):
-// AdmissionQueue (lock-free bounded MPMC admission), ShardRouter
-// (consistent-hash structure routing), and the sharded PredictionService
-// — bit-exactness vs the unsharded service, per-reason rejection
+// ShardRouter (consistent-hash structure routing) and the sharded
+// PredictionService — bit-exactness vs the unsharded service, exact
+// admission capacity under contention, per-reason rejection
 // accounting, epoch pinning under concurrent publishes to all shards,
 // shard-labeled metrics aggregation, observation routing, and program-
 // cache consistency under model re-registration churn. The concurrency
@@ -22,7 +22,6 @@
 #include "calib/ledger.hpp"
 #include "cluster/platform.hpp"
 #include "model/fingerprint.hpp"
-#include "serve/admission.hpp"
 #include "serve/router.hpp"
 #include "serve/service.hpp"
 #include "support/error.hpp"
@@ -54,143 +53,6 @@ PredictRequest stochastic_request(const std::string& id,
   request.model_id = id;
   request.loads = std::move(loads);
   return request;
-}
-
-// --- AdmissionQueue ----------------------------------------------------
-
-TEST(AdmissionQueue, FifoAndExactCapacity) {
-  AdmissionQueue<int> q(5);  // ring rounds up to 8; capacity stays 5
-  EXPECT_EQ(q.capacity(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    int v = i;
-    EXPECT_EQ(q.try_push(v), AdmissionQueue<int>::Push::kOk);
-  }
-  int overflow = 99;
-  EXPECT_EQ(q.try_push(overflow), AdmissionQueue<int>::Push::kFull);
-  EXPECT_EQ(overflow, 99);  // rejected item untouched
-  EXPECT_EQ(q.size(), 5u);
-  for (int i = 0; i < 5; ++i) {
-    int v = -1;
-    ASSERT_TRUE(q.try_pop(v));
-    EXPECT_EQ(v, i);  // FIFO
-  }
-  int v = -1;
-  EXPECT_FALSE(q.try_pop(v));
-  EXPECT_EQ(q.size(), 0u);
-}
-
-TEST(AdmissionQueue, CloseShedsNewPushesButDrainsAdmitted) {
-  AdmissionQueue<int> q(4);
-  int a = 1, b = 2;
-  ASSERT_EQ(q.try_push(a), AdmissionQueue<int>::Push::kOk);
-  q.close();
-  EXPECT_TRUE(q.closed());
-  EXPECT_EQ(q.try_push(b), AdmissionQueue<int>::Push::kClosed);
-  int v = 0;
-  ASSERT_TRUE(q.try_pop(v));  // admitted elements remain poppable
-  EXPECT_EQ(v, 1);
-}
-
-// A consumer whose ticket went stale — other consumers took its cell and
-// a producer refilled it for a later lap — must reload the ticket rather
-// than retry it forever. Forged deterministically on a capacity-1 ring:
-// push/pop/push leaves cell 0 holding lap 1 while ticket 0 is stale. The
-// pop runs on a helper thread with a bounded wait, so a regression fails
-// the test instead of hanging the suite: a thread still spinning at the
-// deadline cannot be joined, so it is detached, co-owning the queue.
-TEST(AdmissionQueue, StaleTicketReloadsInsteadOfSpinning) {
-  const auto q = std::make_shared<AdmissionQueue<int>>(1);
-  int first = 1, second = 2, v = 0;
-  ASSERT_EQ(q->try_push(first), AdmissionQueue<int>::Push::kOk);
-  ASSERT_TRUE(q->try_pop(v));
-  ASSERT_EQ(q->try_push(second), AdmissionQueue<int>::Push::kOk);
-
-  const auto popped = std::make_shared<std::promise<int>>();
-  std::future<int> result = popped->get_future();
-  std::thread popper([q, popped] {
-    int out = 0;
-    popped->set_value(q->try_pop_from(0, out) ? out : -1);
-  });
-  if (result.wait_for(std::chrono::seconds(10)) !=
-      std::future_status::ready) {
-    popper.detach();
-    FAIL() << "try_pop spins on a stale ticket";
-  }
-  popper.join();
-  EXPECT_EQ(result.get(), 2);
-  EXPECT_EQ(q->size(), 0u);
-}
-
-// Multi-producer/multi-consumer stress: every pushed value is popped
-// exactly once, none invented, the size gate never exceeded beyond its
-// documented in-flight overshoot (TSan target). Tiny and non-power-of-two capacities wrap the ring constantly, and
-// twice as many threads as cores force preemption mid-operation.
-TEST(AdmissionQueue, MpmcStressDeliversEveryItemExactlyOnce) {
-  const int threads_per_side =
-      static_cast<int>(std::max(2u, std::thread::hardware_concurrency()));
-  constexpr int kPerProducer = 1000;
-  for (const std::size_t capacity : {1u, 2u, 3u, 64u}) {
-    SCOPED_TRACE("capacity " + std::to_string(capacity));
-    AdmissionQueue<std::uint64_t> q(capacity);
-
-    std::atomic<std::uint64_t> popped_sum{0};
-    std::atomic<std::uint64_t> popped_count{0};
-    std::atomic<std::uint64_t> pushed_sum{0};
-    std::atomic<bool> done_producing{false};
-
-    std::vector<std::thread> consumers;
-    for (int c = 0; c < threads_per_side; ++c) {
-      consumers.emplace_back([&] {
-        std::uint64_t v = 0;
-        for (;;) {
-          if (q.try_pop(v)) {
-            popped_sum.fetch_add(v);
-            popped_count.fetch_add(1);
-          } else if (done_producing.load()) {
-            if (!q.try_pop(v)) break;  // confirmed empty after producers quit
-            popped_sum.fetch_add(v);
-            popped_count.fetch_add(1);
-          } else {
-            std::this_thread::yield();
-          }
-        }
-      });
-    }
-
-    std::vector<std::thread> producers;
-    for (int p = 0; p < threads_per_side; ++p) {
-      producers.emplace_back([&, p] {
-        for (int i = 0; i < kPerProducer; ++i) {
-          // Unique value per (producer, i); retry full pushes so every
-          // value is eventually admitted.
-          const std::uint64_t tagged = static_cast<std::uint64_t>(p) *
-                                           kPerProducer +
-                                       std::uint64_t(i) + 1;
-          for (;;) {
-            std::uint64_t item = tagged;
-            if (q.try_push(item) ==
-                AdmissionQueue<std::uint64_t>::Push::kOk) {
-              pushed_sum.fetch_add(tagged);
-              break;
-            }
-            // size() may overshoot by the other producers' in-flight
-            // pushes that will back out (see AdmissionQueue::size()).
-            EXPECT_LE(q.size(), capacity + std::size_t(threads_per_side));
-            std::this_thread::yield();
-          }
-        }
-      });
-    }
-    for (auto& t : producers) t.join();
-    done_producing.store(true);
-    for (auto& t : consumers) t.join();
-
-    EXPECT_EQ(popped_count.load(), std::uint64_t(threads_per_side) *
-                                       std::uint64_t(kPerProducer));
-    EXPECT_EQ(popped_sum.load(), pushed_sum.load());
-    std::uint64_t v;
-    EXPECT_FALSE(q.try_pop(v));
-  }
 }
 
 // --- ShardRouter -------------------------------------------------------
@@ -316,52 +178,6 @@ TEST(ShardedService, ResultsBitExactVsUnsharded) {
   }
 }
 
-// Work stealing: with a single hot family and strict affinity, one
-// shard eats the whole backlog; with a steal threshold the facade
-// reroutes the overflow to the idle shard — and per-request results stay
-// bit-exact, because evaluation is shard-independent.
-TEST(ShardedService, WorkStealingRebalancesBacklogAndStaysBitExact) {
-  constexpr int kRequests = 16;
-  const auto run = [&](std::size_t steal_threshold) {
-    ServiceOptions options;
-    options.shards = 2;
-    options.workers = 1;
-    options.steal_threshold = steal_threshold;
-    options.start_paused = true;  // stage the backlog deterministically
-    PredictionService service(options);
-    service.register_model("fam", family_spec(150));
-    std::vector<std::future<PredictResult>> futures;
-    for (int i = 0; i < kRequests; ++i) {
-      futures.push_back(service.submit(
-          stochastic_request("fam", loads_for(2, 0.6 + 0.02 * i))));
-    }
-    service.resume();
-    std::vector<PredictResult> results;
-    results.reserve(futures.size());
-    for (auto& f : futures) results.push_back(f.get());
-    return std::pair(std::move(results),
-                     service.metrics().counter("requests_stolen").value());
-  };
-
-  const auto [affine, stolen_off] = run(0);
-  const auto [balanced, stolen_on] = run(2);
-  EXPECT_EQ(stolen_off, 0u);  // 0 disables stealing: affinity is strict
-  EXPECT_GT(stolen_on, 0u);
-
-  ASSERT_EQ(affine.size(), balanced.size());
-  std::set<std::size_t> serving_shards;
-  for (std::size_t i = 0; i < affine.size(); ++i) {
-    ASSERT_TRUE(affine[i].ok()) << affine[i].error;
-    ASSERT_TRUE(balanced[i].ok()) << balanced[i].error;
-    EXPECT_EQ(balanced[i].value, affine[i].value) << "request " << i;
-    EXPECT_EQ(balanced[i].point, affine[i].point) << "request " << i;
-    serving_shards.insert(
-        PredictionService::shard_of_id(balanced[i].request_id));
-  }
-  // The stolen requests really ran on the other shard.
-  EXPECT_EQ(serving_shards.size(), 2u);
-}
-
 TEST(ShardedService, StructureAffinityRoutesFamiliesStably) {
   ServiceOptions options;
   options.shards = 4;
@@ -434,6 +250,115 @@ TEST(ShardedService, PerReasonRejectionCounters) {
   // Totals roll the reasons up.
   EXPECT_EQ(service.metrics().counter("requests_rejected").value(), 5u);
   service.resume();
+}
+
+// Admission control under contention: one worker drains while twice as
+// many submitters as cores race it, and queue_capacity must bound the
+// admitted, not-yet-dequeued backlog (the queue_depth gauge) at every
+// moment a submitter looks — not only while the workers are paused.
+// Submitters keep going until the worker has served kServed requests,
+// so the race lasts however the scheduler treats the worker, or until
+// one sees the bound broken (a backlog that outgrows the queue would
+// otherwise grow without limit). Distinct loads keep requests from
+// coalescing, and alternating stochastic and point mode keeps a fused
+// batch from taking the whole backlog. Every future resolves exactly
+// once, served or shed as queue full, and the counters account for
+// every submission.
+TEST(ShardedService, AdmissionCapacityBoundsBacklogUnderContention) {
+  const std::size_t submitters =
+      2 * std::max(1u, std::thread::hardware_concurrency());
+  constexpr std::uint64_t kServed = 2000;
+  for (const std::size_t capacity : {1u, 2u, 3u, 64u}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    ServiceOptions options;
+    options.workers = 1;
+    options.queue_capacity = capacity;
+    PredictionService service(options);
+    service.register_model("m", family_spec(100));
+    ASSERT_TRUE(
+        service.submit(stochastic_request("m", loads_for(2))).get().ok());
+    const Gauge& depth = service.metrics().gauge("queue_depth");
+    const Counter& served = service.metrics().counter("requests_ok");
+
+    struct Tally {
+      std::int64_t max_depth = 0;
+      std::uint64_t submitted = 0, ok = 0, queue_full = 0;
+      std::vector<std::string> unexpected;
+      std::vector<std::uint64_t> ids;
+      std::vector<std::future<PredictResult>> pending;
+      void record(const PredictResult& result) {
+        ids.push_back(result.request_id);
+        if (result.status == PredictResult::Status::kOk) {
+          ++ok;
+        } else if (result.status == PredictResult::Status::kRejected &&
+                   result.error.find("queue full") != std::string::npos) {
+          ++queue_full;
+        } else {
+          unexpected.push_back(result.error);
+        }
+      }
+    };
+    std::vector<Tally> tallies(submitters);
+    std::atomic<bool> overshoot{false};
+    std::vector<std::thread> threads;
+    for (std::size_t t = 0; t < submitters; ++t) {
+      threads.emplace_back([&, t] {
+        Tally& tally = tallies[t];
+        for (std::size_t i = 0; served.value() < kServed && !overshoot.load();
+             ++i) {
+          const double k = double(t + submitters * i);
+          auto request = stochastic_request("m", loads_for(2, 0.3 + 1e-7 * k));
+          request.mode = i % 2 == 0 ? Mode::kStochastic : Mode::kPoint;
+          auto future = service.submit(std::move(request));
+          ++tally.submitted;
+          tally.max_depth = std::max(tally.max_depth, depth.value());
+          if (tally.max_depth > static_cast<std::int64_t>(capacity)) {
+            overshoot.store(true);
+          }
+          // Sheds resolve at submit; collecting them now keeps memory flat.
+          if (future.wait_for(std::chrono::seconds(0)) ==
+              std::future_status::ready) {
+            tally.record(future.get());
+          } else {
+            tally.pending.push_back(std::move(future));
+          }
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+
+    Tally all;
+    std::set<std::uint64_t> ids;
+    for (auto& tally : tallies) {
+      for (auto& f : tally.pending) {
+        ASSERT_EQ(f.wait_for(std::chrono::seconds(60)),
+                  std::future_status::ready);
+        tally.record(f.get());
+      }
+      all.max_depth = std::max(all.max_depth, tally.max_depth);
+      all.submitted += tally.submitted;
+      all.ok += tally.ok;
+      all.queue_full += tally.queue_full;
+      for (const auto& error : tally.unexpected) ADD_FAILURE() << error;
+      ids.insert(tally.ids.begin(), tally.ids.end());
+    }
+    EXPECT_LE(all.max_depth, static_cast<std::int64_t>(capacity));
+    EXPECT_EQ(ids.size(), all.submitted);  // one result per request id
+    EXPECT_EQ(all.ok + all.queue_full, all.submitted);
+    if (!overshoot.load()) {
+      EXPECT_GE(all.ok, kServed - 1);  // the race ran its full length
+    }
+
+    service.drain();
+    auto& m = service.metrics();
+    EXPECT_EQ(m.counter("requests_total").value(), all.submitted + 1);
+    EXPECT_EQ(m.counter("requests_total").value(),
+              m.counter("requests_ok").value() +
+                  m.counter("requests_error").value() +
+                  m.counter("requests_rejected").value());
+    EXPECT_EQ(m.counter("rejected_queue_full").value(), all.queue_full);
+    EXPECT_EQ(depth.value(), 0);
+  }
 }
 
 TEST(ShardedService, StoppedServiceRejectsQueuedWorkWithReason) {
