@@ -10,6 +10,11 @@ namespace sspred::dserve {
 
 namespace {
 
+/// Membership health tuning: EWMA weight of each request outcome, and the
+/// success level below which a node turns kSuspect (see membership.hpp).
+constexpr double kEwmaAlpha = 0.2;
+constexpr double kEwmaFloor = 0.5;
+
 std::size_t clamp_replicas(const ClusterOptions& options) {
   if (options.nodes == 0) {
     throw support::Error("cluster: need at least one node");
@@ -32,9 +37,9 @@ const std::uint8_t* reply_payload(const std::vector<std::uint8_t>& reply,
 ClusterFrontend::ClusterFrontend(ClusterOptions options, FaultPlan plan)
     : options_(std::move(options)),
       replicas_(clamp_replicas(options_)),
-      ring_(options_.nodes, options_.ring_vnodes),
-      membership_(options_.nodes, metrics_, options_.ewma_alpha,
-                  options_.ewma_floor, options_.down_after_failures),
+      ring_(options_.nodes),
+      membership_(options_.nodes, metrics_, kEwmaAlpha, kEwmaFloor,
+                  options_.down_after_failures),
       plan_(std::move(plan)),
       requests_total_(metrics_.counter("requests_total")),
       requests_ok_(metrics_.counter("requests_ok")),

@@ -70,13 +70,10 @@ struct ClusterOptions {
   /// Replica-set width R: nodes tried, in ring order, before a request
   /// is lost. Capped at the node count.
   std::size_t replicas = 2;
-  /// Virtual nodes per ServingNode on the placement ring.
-  std::size_t ring_vnodes = 64;
   /// Configuration of each node's inner PredictionService.
   serve::ServiceOptions node_options;
-  // Health tuning (see membership.hpp).
-  double ewma_alpha = 0.2;
-  double ewma_floor = 0.5;
+  /// Consecutive failures (or missed heartbeats) that turn a node kDown
+  /// (see membership.hpp).
   std::uint64_t down_after_failures = 2;
   /// Served requests remembered for report_observation forwarding.
   std::size_t observation_capacity = 4096;
@@ -133,8 +130,8 @@ class ClusterFrontend {
   void inject(const FaultEvent& event);
 
   /// Cluster metrics JSON: frontend counters plus every node's registry
-  /// under "node<k>/..." (nodes' shard children nest as
-  /// "node<k>/shard<j>/..."). Serialized against fault application.
+  /// under "node<k>/..." (a node's learn/ subtree nests as
+  /// "node<k>/learn/..."). Serialized against fault application.
   [[nodiscard]] std::string render_metrics_json() const;
 
   [[nodiscard]] serve::MetricsRegistry& metrics() noexcept {

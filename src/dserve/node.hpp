@@ -86,9 +86,9 @@ class ServingNode {
 
   /// Node-level registry: the node's own lifecycle instruments plus the
   /// live service's registry merged unprefixed, so attaching this as
-  /// "node<k>" yields node<k>/requests_total and node<k>/shard<j>/...
-  /// rows. Stable across crash/restart (see class comment for the
-  /// snapshot-vs-restart caveat).
+  /// "node<k>" yields node<k>/requests_total and, with learning on,
+  /// node<k>/learn/... rows. Stable across crash/restart (see class
+  /// comment for the snapshot-vs-restart caveat).
   [[nodiscard]] serve::MetricsRegistry& metrics() noexcept {
     return metrics_;
   }

@@ -103,11 +103,10 @@ class MetricsRegistry {
 
   /// Attaches `child` so snapshots (and both renderings) include its
   /// instruments as "label/name" rows after this registry's own — how
-  /// the sharded service reports per-shard p50/p95/p99 next to the
-  /// rolled-up totals, and how the cluster frontend nests a node's
-  /// registry (whose own children yield "node0/shard1/..." rows:
-  /// prefixes compose per attachment level). An EMPTY label merges the
-  /// child's rows unprefixed — a stable parent registry can front a
+  /// the service exposes its learn/ subtree and how the cluster frontend
+  /// nests a node's registry (whose own children yield "node0/learn/..."
+  /// rows: prefixes compose per attachment level). An EMPTY label merges
+  /// the child's rows unprefixed — a stable parent registry can front a
   /// replaceable one. `child` is not owned and must stay alive until
   /// detached (remove_child()/clear_children()) or the registry dies.
   void add_child(const std::string& label, const MetricsRegistry* child);

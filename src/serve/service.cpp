@@ -5,17 +5,30 @@
 
 namespace sspred::serve {
 
+namespace {
+
+/// Checks the options the facade's own members depend on. Runs in the
+/// member-init list ahead of router_, so a bad shard count reports the
+/// service's range rather than the router's.
+ServiceOptions validated(ServiceOptions options) {
+  SSPRED_REQUIRE(options.shards >= 1 &&
+                     options.shards <= PredictionService::kMaxShards,
+                 "service needs 1.." +
+                     std::to_string(PredictionService::kMaxShards) +
+                     " shards");
+  SSPRED_REQUIRE(options.queue_capacity >= 1,
+                 "service needs queue capacity >= 1");
+  return options;
+}
+
+}  // namespace
+
 PredictionService::PredictionService(ServiceOptions options)
-    : options_(options),
-      clock_(options.clock ? options.clock : support::real_clock()),
-      router_(options.shards, options.router_vnodes),
+    : options_(validated(std::move(options))),
+      clock_(options_.clock ? options_.clock : support::real_clock()),
+      router_(options_.shards),
       epochs_published_(metrics_.counter("epochs_published")),
       observations_unmatched_(metrics_.counter("observations_unmatched")) {
-  SSPRED_REQUIRE(options_.shards >= 1 && options_.shards <= kMaxShards,
-                 "service needs 1.." + std::to_string(kMaxShards) +
-                     " shards");
-  SSPRED_REQUIRE(options_.queue_capacity >= 1,
-                 "service needs queue capacity >= 1");
   if (options_.enable_learning) {
     // Node-local learn state: filled into OUR options copy only, so a
     // caller holding the original options (e.g. a dserve node that will
@@ -36,18 +49,10 @@ PredictionService::PredictionService(ServiceOptions options)
         s, options_, clock_, models_, metrics_, learn_metrics_));
     available_[s].store(true, std::memory_order_relaxed);
   }
-  if (options_.shards > 1) {
-    // With one shard the rolled-up registry IS the shard's story; the
-    // per-shard breakdown only earns its render space beyond that.
-    for (std::size_t s = 0; s < options_.shards; ++s) {
-      metrics_.add_child("shard" + std::to_string(s),
-                         &shards_[s]->metrics());
-    }
-  }
 }
 
 PredictionService::~PredictionService() {
-  shards_.clear();  // joins every worker; shard registries die with them
+  shards_.clear();  // joins every worker before the registries die
   metrics_.clear_children();
 }
 
@@ -131,11 +136,6 @@ bool PredictionService::report_observation(std::uint64_t request_id,
 ProgramCache& PredictionService::cache(std::size_t shard) {
   SSPRED_REQUIRE(shard < shards_.size(), "shard index out of range");
   return shards_[shard]->cache();
-}
-
-MetricsRegistry& PredictionService::shard_metrics(std::size_t shard) {
-  SSPRED_REQUIRE(shard < shards_.size(), "shard index out of range");
-  return shards_[shard]->metrics();
 }
 
 void PredictionService::set_shard_available(std::size_t shard,

@@ -18,8 +18,8 @@
 // The facade itself only registers models (ModelTable, shared by all
 // shards), stamps request ids (shard index in the low kShardBits so
 // report_observation routes back to the owning shard), fans epoch
-// publishes out to every shard, and aggregates metrics (service-wide
-// rolled-up registry plus per-shard child registries).
+// publishes out to every shard, and owns the metrics registry every
+// shard records into (one write per event, whatever the shard count).
 //
 // Determinism: routing is a pure function of the model's structure key
 // and each shard processes its slice exactly as the monolith processed
@@ -96,9 +96,9 @@ class PredictionService {
   /// unknown, already reported, or was evicted.
   bool report_observation(std::uint64_t request_id, double observed_seconds);
 
-  /// Service-wide registry: rolled-up totals under the monolith's metric
-  /// names, plus per-shard "shard<k>/..." children when shards > 1 and a
-  /// "learn/..." subtree when learning is enabled.
+  /// Service-wide registry: every shard records into it directly, so it
+  /// holds the monolith's metric names with service-wide totals at any
+  /// shard count, plus a "learn/..." subtree when learning is enabled.
   [[nodiscard]] MetricsRegistry& metrics() noexcept { return metrics_; }
   [[nodiscard]] const ServiceOptions& options() const noexcept {
     return options_;
@@ -130,7 +130,6 @@ class PredictionService {
   /// preserving the monolithic accessor).
   [[nodiscard]] ProgramCache& cache() noexcept { return cache(0); }
   [[nodiscard]] ProgramCache& cache(std::size_t shard);
-  [[nodiscard]] MetricsRegistry& shard_metrics(std::size_t shard);
   [[nodiscard]] const ShardRouter& router() const noexcept { return router_; }
   /// Shard the CURRENT registration of `model_id` routes to (unknown ids
   /// route by id text so they still shed/err deterministically).
@@ -151,7 +150,7 @@ class PredictionService {
   ServiceOptions options_;
   std::shared_ptr<support::Clock> clock_;
   MetricsRegistry metrics_;
-  MetricsRegistry learn_metrics_;  ///< learn/ subtree (shards dual-write)
+  MetricsRegistry learn_metrics_;  ///< learn/ subtree (shards record here)
   ModelTable models_;
   ShardRouter router_;
   Counter& epochs_published_;

@@ -61,83 +61,56 @@ void ModelTable::throw_unknown(const std::string& id) const {
 
 // --- PredictionShard ---------------------------------------------------
 
+/// Top of the latency_seconds histogram range; slower requests clamp into
+/// its last bucket.
+constexpr double kLatencyRangeSeconds = 1.0;
+
 PredictionShard::PredictionShard(std::size_t index,
                                  const ServiceOptions& options,
                                  std::shared_ptr<support::Clock> clock,
                                  const ModelTable& models,
-                                 MetricsRegistry& global,
-                                 MetricsRegistry& learn_global)
+                                 MetricsRegistry& metrics,
+                                 MetricsRegistry& learn_metrics)
     : index_(index),
       options_(options),
       clock_(std::move(clock)),
       models_(models),
-      requests_total_{global.counter("requests_total"),
-                      local_.counter("requests_total")},
-      requests_ok_{global.counter("requests_ok"),
-                   local_.counter("requests_ok")},
-      requests_error_{global.counter("requests_error"),
-                      local_.counter("requests_error")},
-      requests_rejected_{global.counter("requests_rejected"),
-                         local_.counter("requests_rejected")},
-      rejected_queue_full_{global.counter("rejected_queue_full"),
-                           local_.counter("rejected_queue_full")},
-      rejected_stopped_{global.counter("rejected_stopped"),
-                        local_.counter("rejected_stopped")},
-      rejected_shard_unavailable_{
-          global.counter("rejected_shard_unavailable"),
-          local_.counter("rejected_shard_unavailable")},
-      coalesced_{global.counter("requests_coalesced"),
-                 local_.counter("requests_coalesced")},
-      requests_fused_{global.counter("requests_fused"),
-                      local_.counter("requests_fused")},
-      mc_chunks_{global.counter("mc_chunks_executed"),
-                 local_.counter("mc_chunks_executed")},
-      mc_trials_saved_{global.counter("mc_trials_saved"),
-                       local_.counter("mc_trials_saved")},
-      epochs_published_(local_.counter("epochs_published")),
-      cache_hits_{global.counter("cache_hits"), local_.counter("cache_hits")},
-      cache_misses_{global.counter("cache_misses"),
-                    local_.counter("cache_misses")},
-      observations_recorded_{global.counter("observations_recorded"),
-                             local_.counter("observations_recorded")},
-      observations_unmatched_{global.counter("observations_unmatched"),
-                              local_.counter("observations_unmatched")},
-      predictions_served_structural_{
-          learn_global.counter("predictions_served_structural"),
-          local_.counter("predictions_served_structural")},
-      predictions_served_learned_{
-          learn_global.counter("predictions_served_learned"),
-          local_.counter("predictions_served_learned")},
-      predictions_served_blended_{
-          learn_global.counter("predictions_served_blended"),
-          local_.counter("predictions_served_blended")},
-      observations_trained_{learn_global.counter("observations_trained"),
-                            local_.counter("observations_trained")},
-      arbiter_flips_{learn_global.counter("arbiter_flips"),
-                     local_.counter("arbiter_flips")},
-      queue_depth_{global.gauge("queue_depth"), local_.gauge("queue_depth")},
-      workers_busy_{global.gauge("workers_busy"),
-                    local_.gauge("workers_busy")},
-      latency_{global.histogram("latency_seconds",
-                                options.latency_range_seconds, 512),
-               local_.histogram("latency_seconds",
-                                options.latency_range_seconds, 512)},
-      batch_sizes_{
-          global.histogram("batch_size",
-                           static_cast<double>(options.max_batch) + 1.0,
-                           std::max<std::size_t>(options.max_batch, 1)),
-          local_.histogram("batch_size",
-                           static_cast<double>(options.max_batch) + 1.0,
-                           std::max<std::size_t>(options.max_batch, 1))},
-      fused_occupancy_{
-          global.histogram("fused_batch_occupancy",
-                           static_cast<double>(options.max_batch) + 1.0,
-                           std::max<std::size_t>(options.max_batch, 1)),
-          local_.histogram("fused_batch_occupancy",
-                           static_cast<double>(options.max_batch) + 1.0,
-                           std::max<std::size_t>(options.max_batch, 1))},
-      mc_trials_{global.histogram("mc_trials_executed", 32769.0, 256),
-                 local_.histogram("mc_trials_executed", 32769.0, 256)} {
+      requests_total_(metrics.counter("requests_total")),
+      requests_ok_(metrics.counter("requests_ok")),
+      requests_error_(metrics.counter("requests_error")),
+      requests_rejected_(metrics.counter("requests_rejected")),
+      rejected_queue_full_(metrics.counter("rejected_queue_full")),
+      rejected_stopped_(metrics.counter("rejected_stopped")),
+      rejected_shard_unavailable_(
+          metrics.counter("rejected_shard_unavailable")),
+      coalesced_(metrics.counter("requests_coalesced")),
+      requests_fused_(metrics.counter("requests_fused")),
+      mc_chunks_(metrics.counter("mc_chunks_executed")),
+      mc_trials_saved_(metrics.counter("mc_trials_saved")),
+      cache_hits_(metrics.counter("cache_hits")),
+      cache_misses_(metrics.counter("cache_misses")),
+      observations_recorded_(metrics.counter("observations_recorded")),
+      observations_unmatched_(metrics.counter("observations_unmatched")),
+      predictions_served_structural_(
+          learn_metrics.counter("predictions_served_structural")),
+      predictions_served_learned_(
+          learn_metrics.counter("predictions_served_learned")),
+      predictions_served_blended_(
+          learn_metrics.counter("predictions_served_blended")),
+      observations_trained_(learn_metrics.counter("observations_trained")),
+      arbiter_flips_(learn_metrics.counter("arbiter_flips")),
+      queue_depth_(metrics.gauge("queue_depth")),
+      workers_busy_(metrics.gauge("workers_busy")),
+      latency_(metrics.histogram("latency_seconds", kLatencyRangeSeconds,
+                                 512)),
+      batch_sizes_(metrics.histogram(
+          "batch_size", static_cast<double>(options.max_batch) + 1.0,
+          std::max<std::size_t>(options.max_batch, 1))),
+      fused_occupancy_(metrics.histogram(
+          "fused_batch_occupancy",
+          static_cast<double>(options.max_batch) + 1.0,
+          std::max<std::size_t>(options.max_batch, 1))),
+      mc_trials_(metrics.histogram("mc_trials_executed", 32769.0, 256)) {
   SSPRED_REQUIRE(options_.workers >= 1, "shard needs at least one worker");
   SSPRED_REQUIRE(options_.mc_chunk_trials >= 2,
                  "mc_chunk_trials must be at least 2");
@@ -183,7 +156,7 @@ PredictionShard::~PredictionShard() {
   idle_cv_.notify_all();
 }
 
-void PredictionShard::reject(Job&& job, DualCounter& why, std::string reason) {
+void PredictionShard::reject(Job&& job, Counter& why, std::string reason) {
   requests_rejected_.increment();
   why.increment();
   PredictResult rejected;
@@ -229,11 +202,8 @@ void PredictionShard::reject_unavailable(Job job) {
 }
 
 void PredictionShard::publish_epoch(EpochPtr epoch) {
-  {
-    const std::lock_guard lock(epoch_mutex_);
-    epoch_ = std::move(epoch);
-  }
-  epochs_published_.increment();
+  const std::lock_guard lock(epoch_mutex_);
+  epoch_ = std::move(epoch);
 }
 
 EpochPtr PredictionShard::current_epoch() const {

@@ -19,10 +19,10 @@
 // so for a fixed request set, per-request results are bit-exact at any
 // shard count.
 //
-// Metrics are dual-written: every instrument bumps both the service-wide
-// registry (rolled-up totals, the names tests and dashboards already
-// know) and the shard's own registry (attached to the global one as
-// "shard<k>/..." when there is more than one shard).
+// Metrics have one home: every shard instrument is a reference into the
+// service's registry (the learning counters into its learn/ subtree), so
+// each event is counted exactly once and the service's totals are the
+// same at any shard count.
 #pragma once
 
 #include <condition_variable>
@@ -62,8 +62,6 @@ struct ServiceOptions {
   /// this many waiting is shed as "queue full". The bound holds while
   /// workers run as well as while they are paused.
   std::size_t queue_capacity = 1024;
-  /// Virtual nodes per shard on the routing ring (see router.hpp).
-  std::size_t router_vnodes = 64;
   /// Share compiled programs across requests/ids (the program cache).
   /// Off: every request compiles its model from scratch (bench baseline).
   bool enable_cache = true;
@@ -101,8 +99,6 @@ struct ServiceOptions {
   bool enable_learning = false;
   std::shared_ptr<learn::PredictorBank> bank;
   std::shared_ptr<learn::Arbiter> arbiter;
-  /// Top of the latency histogram range, seconds.
-  double latency_range_seconds = 1.0;
   /// Construct with workers blocked; resume() starts processing. Lets
   /// tests (and benchmarks) stage a queue deterministically.
   bool start_paused = false;
@@ -156,14 +152,13 @@ class PredictionShard {
     double enqueue_time = 0.0;
   };
 
-  /// `global` is the service-wide registry every instrument dual-writes;
-  /// `learn_global` is the service's learn/ subtree registry the learning
-  /// instruments dual-write instead of `global`. `models` and all three
-  /// referenced registries must outlive the shard.
+  /// The shard records straight into `metrics` (the service's registry)
+  /// and, for the learning counters, into `learn_metrics` (its learn/
+  /// subtree). `models` and both registries must outlive the shard.
   PredictionShard(std::size_t index, const ServiceOptions& options,
                   std::shared_ptr<support::Clock> clock,
-                  const ModelTable& models, MetricsRegistry& global,
-                  MetricsRegistry& learn_global);
+                  const ModelTable& models, MetricsRegistry& metrics,
+                  MetricsRegistry& learn_metrics);
   ~PredictionShard();
 
   PredictionShard(const PredictionShard&) = delete;
@@ -194,38 +189,9 @@ class PredictionShard {
   bool report_observation(std::uint64_t request_id, double observed_seconds);
 
   [[nodiscard]] ProgramCache& cache() noexcept { return cache_; }
-  [[nodiscard]] MetricsRegistry& metrics() noexcept { return local_; }
   [[nodiscard]] std::size_t index() const noexcept { return index_; }
 
  private:
-  // Dual instruments: one bump updates the rolled-up service-wide
-  // instrument and the shard-local one. Both sides are lock-free.
-  struct DualCounter {
-    Counter& global;
-    Counter& local;
-    void increment(std::uint64_t by = 1) noexcept {
-      global.increment(by);
-      local.increment(by);
-    }
-  };
-  struct DualGauge {
-    Gauge& global;
-    Gauge& local;
-    // Deltas, not set(): S shards share the global gauge.
-    void add(std::int64_t by) noexcept {
-      global.add(by);
-      local.add(by);
-    }
-  };
-  struct DualHistogram {
-    LatencyHistogram& global;
-    LatencyHistogram& local;
-    void observe(double v) noexcept {
-      global.observe(v);
-      local.observe(v);
-    }
-  };
-
   /// A promise awaiting resolution, tagged with its request id.
   struct Pending {
     std::uint64_t id = 0;
@@ -365,9 +331,9 @@ class PredictionShard {
   /// submit-time structure stamps), and for Monte-Carlo the same
   /// unchunked trial count (chunked requests keep the fan-out path).
   [[nodiscard]] bool fusable(const Job& a, const Job& b) const;
-  /// Rejects `job` with `reason` text, bumping `why` (and the rolled-up
-  /// rejection counters).
-  void reject(Job&& job, DualCounter& why, std::string reason);
+  /// Rejects `job` with `reason` text, bumping `why` and
+  /// requests_rejected.
+  void reject(Job&& job, Counter& why, std::string reason);
   [[nodiscard]] bool has_work() const;
   [[nodiscard]] double now() const noexcept { return clock_->now(); }
 
@@ -375,7 +341,6 @@ class PredictionShard {
   ServiceOptions options_;
   std::shared_ptr<support::Clock> clock_;
   const ModelTable& models_;
-  MetricsRegistry local_;  ///< shard-scoped registry (metrics())
   ProgramCache cache_;
 
   // --- Admission queue and worker-side state (guarded by mutex_) ------
@@ -404,42 +369,40 @@ class PredictionShard {
   std::map<std::uint64_t, CompletedPrediction> completed_;
   std::deque<std::uint64_t> completed_order_;
 
-  // Dual hot-path instruments (stable addresses inside both registries).
-  DualCounter requests_total_;
-  DualCounter requests_ok_;
-  DualCounter requests_error_;
-  DualCounter requests_rejected_;
-  DualCounter rejected_queue_full_;
-  DualCounter rejected_stopped_;
-  DualCounter rejected_shard_unavailable_;
-  DualCounter coalesced_;
-  DualCounter requests_fused_;
-  DualCounter mc_chunks_;
+  // Hot-path instruments: references into the service's registries
+  // (stable addresses; shared by every shard).
+  Counter& requests_total_;
+  Counter& requests_ok_;
+  Counter& requests_error_;
+  Counter& requests_rejected_;
+  Counter& rejected_queue_full_;
+  Counter& rejected_stopped_;
+  Counter& rejected_shard_unavailable_;
+  Counter& coalesced_;
+  Counter& requests_fused_;
+  Counter& mc_chunks_;
   /// Trials a precision target let the engine skip (request clamp minus
   /// executed count, summed over adaptive evaluations).
-  DualCounter mc_trials_saved_;
-  /// Local only: the facade counts one service-wide publish, not one
-  /// per shard it fanned out to.
-  Counter& epochs_published_;
-  DualCounter cache_hits_;
-  DualCounter cache_misses_;
-  DualCounter observations_recorded_;
-  DualCounter observations_unmatched_;
-  // Learning instruments: the "global" half lives in the service's
-  // learn/ subtree registry rather than the rolled-up one.
-  DualCounter predictions_served_structural_;
-  DualCounter predictions_served_learned_;
-  DualCounter predictions_served_blended_;
-  DualCounter observations_trained_;
-  DualCounter arbiter_flips_;
-  DualGauge queue_depth_;
-  DualGauge workers_busy_;
-  DualHistogram latency_;
-  DualHistogram batch_sizes_;
-  DualHistogram fused_occupancy_;
+  Counter& mc_trials_saved_;
+  Counter& cache_hits_;
+  Counter& cache_misses_;
+  Counter& observations_recorded_;
+  Counter& observations_unmatched_;
+  // Learning instruments, in the service's learn/ subtree registry.
+  Counter& predictions_served_structural_;
+  Counter& predictions_served_learned_;
+  Counter& predictions_served_blended_;
+  Counter& observations_trained_;
+  Counter& arbiter_flips_;
+  // Deltas, not set(): every shard moves the same gauge.
+  Gauge& queue_depth_;
+  Gauge& workers_busy_;
+  LatencyHistogram& latency_;
+  LatencyHistogram& batch_sizes_;
+  LatencyHistogram& fused_occupancy_;
   /// Monte-Carlo trials actually executed per evaluation (adaptive stops
   /// show up as mass below the requested clamp).
-  DualHistogram mc_trials_;
+  LatencyHistogram& mc_trials_;
 
   std::vector<std::thread> threads_;  ///< last member: joins see all state
 };

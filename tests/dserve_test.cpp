@@ -464,9 +464,10 @@ TEST(ClusterFrontend, WholeReplicaSetDownYieldsStructuredRejection) {
   EXPECT_EQ(cluster.metrics().counter("requests_rejected").value(), 1u);
 }
 
-TEST(ClusterFrontend, MetricsNestNodeAndShardPrefixes) {
+TEST(ClusterFrontend, MetricsNestNodePrefixes) {
   ClusterOptions options = small_cluster();
-  options.node_options.shards = 2;  // nodes expose shard children
+  options.node_options.shards = 2;
+  options.node_options.enable_learning = true;  // nodes expose learn/
   ClusterFrontend cluster(options);
   register_families(cluster, 3);
   for (int i = 0; i < 12; ++i) {
@@ -484,13 +485,17 @@ TEST(ClusterFrontend, MetricsNestNodeAndShardPrefixes) {
   // merged unprefixed under "node<k>/".
   EXPECT_TRUE(names.contains("node0/node_frames_served"));
   EXPECT_TRUE(names.contains("node0/requests_total"));
-  // Nested prefixes compose: the service's own shard children surface as
-  // node<k>/shard<j>/... rows.
-  EXPECT_TRUE(names.contains("node0/shard1/requests_total"));
-  EXPECT_TRUE(names.contains("node2/shard0/queue_depth"));
+  EXPECT_TRUE(names.contains("node2/queue_depth"));
+  // Nested prefixes compose: the service's own learn/ child surfaces as
+  // node<k>/learn/... rows.
+  EXPECT_TRUE(names.contains("node0/learn/arbiter_flips"));
+  // Shards record into their service's registry: no shard rows.
+  for (const auto& name : names) {
+    EXPECT_EQ(name.find("/shard"), std::string::npos) << name;
+  }
 
   const std::string json = cluster.render_metrics_json();
-  EXPECT_NE(json.find("\"node0/shard1/requests_total\""), std::string::npos);
+  EXPECT_NE(json.find("\"node0/learn/arbiter_flips\""), std::string::npos);
   EXPECT_NE(json.find("\"node1/node_frames_served\""), std::string::npos);
 }
 

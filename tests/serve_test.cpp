@@ -608,6 +608,23 @@ TEST(ServeService, BoundedQueueShedsOverload) {
   }
 }
 
+TEST(ServeService, RejectsOutOfRangeShardCounts) {
+  // The service's own range check must fire before any member (the
+  // router included) sees the count.
+  for (const std::size_t shards : {std::size_t{0}, std::size_t{257}}) {
+    ServiceOptions options;
+    options.shards = shards;
+    try {
+      PredictionService service(options);
+      ADD_FAILURE() << "shards=" << shards << " was accepted";
+    } catch (const support::Error& e) {
+      EXPECT_NE(std::string(e.what()).find("service needs 1..256 shards"),
+                std::string::npos)
+          << "shards=" << shards << ": " << e.what();
+    }
+  }
+}
+
 TEST(ServeService, RequestsKeepTheEpochTheyWereAdmittedUnder) {
   ServiceOptions options;
   options.workers = 1;

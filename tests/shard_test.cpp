@@ -3,8 +3,8 @@
 // PredictionService — bit-exactness vs the unsharded service, exact
 // admission capacity under contention, per-reason rejection
 // accounting, epoch pinning under concurrent publishes to all shards,
-// shard-labeled metrics aggregation, observation routing, and program-
-// cache consistency under model re-registration churn. The concurrency
+// once-per-event metrics at any shard count, observation routing, and
+// program-cache consistency under model re-registration churn. The concurrency
 // tests here run under ThreadSanitizer in CI.
 #include <gtest/gtest.h>
 
@@ -227,14 +227,6 @@ TEST(ShardedService, PerReasonRejectionCounters) {
   EXPECT_EQ(queue_full, 4u);
   EXPECT_EQ(service.metrics().counter("rejected_queue_full").value(), 4u);
   EXPECT_EQ(service.metrics().counter("rejected_shard_unavailable").value(),
-            0u);
-  // The routed shard's local registry carries the same count; the other
-  // shard saw nothing.
-  EXPECT_EQ(service.shard_metrics(home).counter("rejected_queue_full").value(),
-            4u);
-  EXPECT_EQ(service.shard_metrics(1 - home)
-                .counter("rejected_queue_full")
-                .value(),
             0u);
 
   // Routing-layer shed: mark the family's shard unavailable.
@@ -468,46 +460,50 @@ TEST(ShardedService, EpochPinningHoldsAcrossShardsUnderConcurrentPublish) {
   EXPECT_GT(checked.load(), 0);
 }
 
-TEST(ShardedService, MetricsAggregateAcrossShardLabels) {
-  ServiceOptions options;
-  options.shards = 4;
-  options.workers = 1;
-  PredictionService service(options);
-  const std::vector<std::size_t> family_n = {120, 160, 200, 240};
-  for (std::size_t f = 0; f < family_n.size(); ++f) {
-    service.register_model("fam" + std::to_string(f),
-                           family_spec(family_n[f]));
-  }
-  std::vector<std::future<PredictResult>> futures;
-  for (int i = 0; i < 40; ++i) {
-    futures.push_back(service.submit(stochastic_request(
-        "fam" + std::to_string(i % 4), loads_for(2))));
-  }
-  for (auto& f : futures) ASSERT_TRUE(f.get().ok());
-  service.drain();
+TEST(ShardedService, MetricsCountEachEventOnceAtAnyShardCount) {
+  for (const std::size_t shards : {std::size_t{1}, std::size_t{4}}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ServiceOptions options;
+    options.shards = shards;
+    options.workers = 1;
+    PredictionService service(options);
+    const std::vector<std::size_t> family_n = {120, 160, 200, 240};
+    for (std::size_t f = 0; f < family_n.size(); ++f) {
+      service.register_model("fam" + std::to_string(f),
+                             family_spec(family_n[f]));
+    }
+    std::vector<std::future<PredictResult>> futures;
+    for (int i = 0; i < 40; ++i) {
+      futures.push_back(service.submit(stochastic_request(
+          "fam" + std::to_string(i % 4), loads_for(2))));
+    }
+    const auto unknown =
+        service.submit(stochastic_request("nope", loads_for(2))).get();
+    EXPECT_EQ(unknown.status, PredictResult::Status::kError);
+    for (auto& f : futures) ASSERT_TRUE(f.get().ok());
+    service.drain();
 
-  // Rolled-up total equals the sum over shard-local registries.
-  std::uint64_t across = 0;
-  for (std::size_t s = 0; s < service.shard_count(); ++s) {
-    across += service.shard_metrics(s).counter("requests_total").value();
-  }
-  EXPECT_EQ(service.metrics().counter("requests_total").value(), 40u);
-  EXPECT_EQ(across, 40u);
+    MetricsRegistry& m = service.metrics();
+    EXPECT_EQ(m.counter("requests_total").value(), 41u);
+    EXPECT_EQ(m.counter("requests_ok").value(), 40u);
+    EXPECT_EQ(m.counter("requests_error").value(), 1u);
+    EXPECT_EQ(m.counter("requests_rejected").value(), 0u);
+    EXPECT_EQ(m.gauge("queue_depth").value(), 0);
+    EXPECT_EQ(m.gauge("workers_busy").value(), 0);
+    // Every served request is either a lane (one batch_size observation)
+    // or coalesced onto one.
+    EXPECT_EQ(m.histogram("batch_size").count() +
+                  m.counter("requests_coalesced").value(),
+              41u);
 
-  // render_json carries both the roll-up and shard-labeled rows with
-  // per-shard latency quantiles.
-  const std::string json = service.metrics().render_json();
-  EXPECT_NE(json.find("\"requests_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"shard0/requests_total\""), std::string::npos);
-  EXPECT_NE(json.find("\"shard3/latency_seconds\""), std::string::npos);
-  bool shard_latency_seen = false;
-  for (const auto& sample : service.metrics().snapshot()) {
-    if (sample.name.find("/latency_seconds") != std::string::npos &&
-        sample.value > 0) {
-      shard_latency_seen = true;
+    // One row per metric: no per-shard copies beside the totals.
+    std::set<std::string> names;
+    for (const auto& sample : m.snapshot()) {
+      EXPECT_TRUE(names.insert(sample.name).second)
+          << "duplicate " << sample.name;
+      EXPECT_EQ(sample.name.find('/'), std::string::npos) << sample.name;
     }
   }
-  EXPECT_TRUE(shard_latency_seen);
 }
 
 TEST(ShardedService, ObservationsRouteToTheOwningShard) {
