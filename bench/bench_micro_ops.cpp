@@ -216,6 +216,41 @@ void BM_ModelCompiledEvaluateRepeated(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelCompiledEvaluateRepeated);
 
+void BM_ModelCompiledEvaluatePointRepeated(benchmark::State& state) {
+  // Steady-state compiled point prediction: the one-lane point walk.
+  const SorFixture fx;
+  model::ir::EvalWorkspace ws;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(fx.model.program().evaluate_point(*fx.slots, ws));
+  }
+}
+BENCHMARK(BM_ModelCompiledEvaluatePointRepeated);
+
+void BM_ModelCompiledEvaluateFused16(benchmark::State& state) {
+  // The same stochastic walk over 16 request lanes in one sweep; items
+  // are lanes, so items/s compares directly with the repeated solo call.
+  constexpr std::size_t kLanes = 16;
+  const SorFixture fx;
+  const auto& program = fx.model.program();
+  model::ir::LaneEnvironment env = program.make_lane_environment(kLanes);
+  for (std::uint32_t s = 0; s < program.slot_count(); ++s) {
+    if (!fx.slots->bound(s)) continue;
+    for (std::size_t lane = 0; lane < kLanes; ++lane) {
+      env.bind(lane, s, fx.slots->lookup(s));
+    }
+  }
+  model::ir::EvalWorkspace ws;
+  std::vector<stoch::StochasticValue> out(kLanes);
+  for (auto _ : state) {
+    program.evaluate_fused(env, ws, out);
+    benchmark::DoNotOptimize(out.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<std::int64_t>(kLanes));
+}
+BENCHMARK(BM_ModelCompiledEvaluateFused16);
+
 void BM_ModelTreeMonteCarlo10k(benchmark::State& state) {
   const SorFixture fx;
   support::Rng rng(17);

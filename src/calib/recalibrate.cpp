@@ -89,9 +89,7 @@ ConformalRecalibrator::binding_transform() const {
     const double factor = overall_scale();
     for (auto& [name, value] : bindings) {
       if (value.is_point()) continue;
-      const double half =
-          std::min(factor * value.halfwidth(), 0.98 * std::abs(value.mean()));
-      value = stoch::StochasticValue(value.mean(), std::max(half, 0.0));
+      value = stoch::StochasticValue(value.mean(), factor * value.halfwidth());
     }
   };
 }

@@ -72,10 +72,10 @@ class ConformalRecalibrator {
   [[nodiscard]] std::uint64_t count(const std::string& model_id) const;
 
   /// In-place widening of a bindings map by overall_scale(), compatible
-  /// with serve::NwsBridge::set_transform. Half-widths are capped at 98%
-  /// of the mean so load-like bindings keep a strictly positive lower
-  /// bound (structural models divide by them). The returned function
-  /// captures `this`; the recalibrator must outlive it.
+  /// with serve::NwsBridge::set_transform, which caps the result so every
+  /// published binding keeps a strictly positive lower bound
+  /// (serve::kMaxRelativeHalfwidth). The returned function captures
+  /// `this`; the recalibrator must outlive it.
   using BindingTransform =
       std::function<void(std::map<std::string, stoch::StochasticValue>&)>;
   [[nodiscard]] BindingTransform binding_transform() const;

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <type_traits>
 
 #include "stoch/montecarlo.hpp"
 #include "support/error.hpp"
@@ -43,6 +44,22 @@ void fill_lane(const StochasticValue& v, support::Rng& rng, double* row,
   } else {
     rng.normal_fill({row, lanes}, v.mean(), v.sd());
   }
+}
+
+/// Lane count of the solo entry points: a SlotEnvironment is the one-lane
+/// instance of every walk, with the count fixed at compile time so each
+/// per-lane loop collapses to straight-line code.
+using OneLane = std::integral_constant<std::size_t, 1>;
+
+/// Lane-indexed binding reads shared by the solo and fused walks. A
+/// SlotEnvironment has one lane, so its overload ignores `lane`.
+const StochasticValue& lookup(const SlotEnvironment& env,
+                              std::size_t /*lane*/, std::uint32_t slot) {
+  return env.lookup(slot);
+}
+const StochasticValue& lookup(const LaneEnvironment& env, std::size_t lane,
+                              std::uint32_t slot) {
+  return env.lookup(lane, slot);
 }
 
 }  // namespace
@@ -196,8 +213,17 @@ void Program::resize_workspace(EvalWorkspace& ws) const {
 }
 
 // --- Stochastic walk (§2.3 calculus) --------------------------------------
+//
+// One walk serves every lane count: ws.values is a node-major matrix
+// (values[node * lanes + lane]) and each case runs its fold inside a
+// per-lane loop. Solo evaluate() instantiates it with a compile-time lane
+// count of 1, which collapses every lane loop to a single fold, and
+// evaluate_fused() with env.lanes(); the per-lane arithmetic is the same
+// code either way, so fused lanes are bit-exact against solo runs by
+// construction.
 
-void Program::exec_stochastic(const SlotEnvironment& env,
+template <class Env, class Lanes>
+void Program::exec_stochastic(const Env& env, Lanes lanes,
                               EvalWorkspace& ws) const {
   // The group cases fold inline over the operand ids rather than gathering
   // into a scratch buffer and calling the stoch:: span helpers — this walk
@@ -208,195 +234,26 @@ void Program::exec_stochastic(const SlotEnvironment& env,
   // the differential tests in tests/compile_test.cpp pin that down.
   StochasticValue* const vals = ws.values.data();
   const std::uint32_t* const ops = operands_.data();
+  const auto row = [vals, lanes](std::uint32_t i) {
+    return vals + static_cast<std::size_t>(i) * lanes;
+  };
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     const Node& node = nodes_[i];
+    StochasticValue* const r = row(i);
     switch (node.op) {
       case OpCode::kConst:
-        vals[i] = constants_[node.payload];
+        for (std::size_t l = 0; l < lanes; ++l) r[l] = constants_[node.payload];
         break;
       case OpCode::kParam:
-        vals[i] = env.lookup(node.payload);
+        for (std::size_t l = 0; l < lanes; ++l) {
+          r[l] = lookup(env, l, node.payload);
+        }
         break;
       case OpCode::kSum: {
         // stoch::sum_span: fold from the first operand; per-step sqrt in
         // the unrelated regime keeps it bit-identical to repeated add().
         const std::uint32_t* o = ops + node.first;
-        double mean = vals[o[0]].mean();
-        double half = vals[o[0]].halfwidth();
-        if (node.dep == Dependence::kRelated) {
-          for (std::uint32_t k = 1; k < node.count; ++k) {
-            mean += vals[o[k]].mean();
-            half += vals[o[k]].halfwidth();
-          }
-        } else {
-          for (std::uint32_t k = 1; k < node.count; ++k) {
-            mean += vals[o[k]].mean();
-            const double b = vals[o[k]].halfwidth();
-            half = std::sqrt(half * half + b * b);
-          }
-        }
-        vals[i] = StochasticValue(mean, half);
-        break;
-      }
-      case OpCode::kProd: {
-        // stoch::mul_span: fold mul() from the first operand, including
-        // the §2.3.2 zero-mean -> zero point value rule.
-        const std::uint32_t* o = ops + node.first;
-        double mean = vals[o[0]].mean();
-        double half = vals[o[0]].halfwidth();
-        for (std::uint32_t k = 1; k < node.count; ++k) {
-          const StochasticValue& y = vals[o[k]];
-          if (mean == 0.0 || y.mean() == 0.0) {
-            mean = 0.0;
-            half = 0.0;
-            continue;
-          }
-          const double m = mean * y.mean();
-          if (node.dep == Dependence::kRelated) {
-            half = std::abs(half * y.mean()) + std::abs(y.halfwidth() * mean) +
-                   std::abs(half * y.halfwidth());
-          } else {
-            const double ra = half / mean;
-            const double rb = y.halfwidth() / y.mean();
-            half = std::abs(m) * std::sqrt(ra * ra + rb * rb);
-          }
-          mean = m;
-        }
-        vals[i] = StochasticValue(mean, half);
-        break;
-      }
-      case OpCode::kMax:
-      case OpCode::kMin: {
-        const std::uint32_t* o = ops + node.first;
-        if (node.policy == stoch::ExtremePolicy::kClark) {
-          // Clark's moment-matching fold has no cheap scan form; keep the
-          // gather + library path for it.
-          ws.scratch.clear();
-          for (std::uint32_t k = 0; k < node.count; ++k) {
-            ws.scratch.push_back(vals[o[k]]);
-          }
-          vals[i] = node.op == OpCode::kMax
-                        ? stoch::smax(ws.scratch, node.policy)
-                        : stoch::smin(ws.scratch, node.policy);
-          break;
-        }
-        // kLargestMean / kLargestUpper select one operand. smin's
-        // negate/smax/negate definition reduces to picking the smallest
-        // mean (resp. smallest lower bound): IEEE negation is exact, so
-        // comparing negated quantities and un-negating the winner returns
-        // that operand bit-for-bit.
-        std::uint32_t best = o[0];
-        if (node.policy == stoch::ExtremePolicy::kLargestMean) {
-          for (std::uint32_t k = 1; k < node.count; ++k) {
-            if (node.op == OpCode::kMax ? vals[o[k]].mean() > vals[best].mean()
-                                        : vals[o[k]].mean() < vals[best].mean())
-              best = o[k];
-          }
-        } else {
-          for (std::uint32_t k = 1; k < node.count; ++k) {
-            if (node.op == OpCode::kMax
-                    ? vals[o[k]].upper() > vals[best].upper()
-                    : vals[o[k]].lower() < vals[best].lower())
-              best = o[k];
-          }
-        }
-        vals[i] = vals[best];
-        break;
-      }
-      case OpCode::kDiv: {
-        const StochasticValue& x = vals[ops[node.first]];
-        const StochasticValue& y = vals[ops[node.first + 1]];
-        // stoch::div = guard + mul(x, inverse(y)); the zero-straddle
-        // diagnostic stays with the library on the cold path.
-        if (y.lower() <= 0.0 && y.upper() >= 0.0) {
-          vals[i] = stoch::div(x, y, node.dep);  // throws with full context
-          break;
-        }
-        const double im = 1.0 / y.mean();
-        const double ih = std::abs(y.halfwidth() / (y.mean() * y.mean()));
-        if (x.mean() == 0.0 || im == 0.0) {
-          vals[i] = StochasticValue();
-          break;
-        }
-        const double m = x.mean() * im;
-        double half = 0.0;
-        if (node.dep == Dependence::kRelated) {
-          half = std::abs(x.halfwidth() * im) + std::abs(ih * x.mean()) +
-                 std::abs(x.halfwidth() * ih);
-        } else {
-          const double ra = x.halfwidth() / x.mean();
-          const double rb = ih / im;
-          half = std::abs(m) * std::sqrt(ra * ra + rb * rb);
-        }
-        vals[i] = StochasticValue(m, half);
-        break;
-      }
-      case OpCode::kIterate: {
-        const StochasticValue body = vals[i - 1];
-        const double n = static_cast<double>(node.payload);
-        // Related: the same slow machine stays slow every iteration -> n·a.
-        // Unrelated: iteration noise averages out -> sqrt(n)·a.
-        const double half = node.dep == Dependence::kRelated
-                                ? n * body.halfwidth()
-                                : std::sqrt(n) * body.halfwidth();
-        vals[i] = StochasticValue(n * body.mean(), half);
-        break;
-      }
-      case OpCode::kRef:
-        // Deterministic evaluation of a subtree is context-free, so a
-        // shared occurrence's value can simply be copied.
-        vals[i] = vals[node.payload];
-        break;
-    }
-  }
-}
-
-StochasticValue Program::evaluate(const SlotEnvironment& env,
-                                  EvalWorkspace& ws) const {
-  SSPRED_REQUIRE(env.size() == slot_count(),
-                 "slot environment shape does not match the program (create "
-                 "it with make_environment())");
-  resize_workspace(ws);
-  exec_stochastic(env, ws);
-  return ws.values[nodes_.size() - 1];
-}
-
-StochasticValue Program::evaluate(const SlotEnvironment& env) const {
-  EvalWorkspace ws;
-  return evaluate(env, ws);
-}
-
-// Fused variant of exec_stochastic: ws.values becomes a node-major matrix
-// (vals[node * L + lane]) and every case replicates the single-lane fold
-// verbatim inside a per-lane loop, so each lane's result is bit-identical
-// to exec_stochastic run alone on that lane's bindings.
-void Program::exec_stochastic_fused(const LaneEnvironment& env,
-                                    EvalWorkspace& ws) const {
-  const std::size_t L = env.lanes();
-  StochasticValue* const vals = ws.values.data();
-  const std::uint32_t* const ops = operands_.data();
-  const auto row = [vals, L](std::uint32_t i) {
-    return vals + static_cast<std::size_t>(i) * L;
-  };
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    switch (node.op) {
-      case OpCode::kConst: {
-        StochasticValue* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) r[l] = constants_[node.payload];
-        break;
-      }
-      case OpCode::kParam: {
-        StochasticValue* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) {
-          r[l] = env.lookup(l, node.payload);
-        }
-        break;
-      }
-      case OpCode::kSum: {
-        const std::uint32_t* o = ops + node.first;
-        StochasticValue* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) {
+        for (std::size_t l = 0; l < lanes; ++l) {
           double mean = row(o[0])[l].mean();
           double half = row(o[0])[l].halfwidth();
           if (node.dep == Dependence::kRelated) {
@@ -416,9 +273,10 @@ void Program::exec_stochastic_fused(const LaneEnvironment& env,
         break;
       }
       case OpCode::kProd: {
+        // stoch::mul_span: fold mul() from the first operand, including
+        // the §2.3.2 zero-mean -> zero point value rule.
         const std::uint32_t* o = ops + node.first;
-        StochasticValue* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) {
+        for (std::size_t l = 0; l < lanes; ++l) {
           double mean = row(o[0])[l].mean();
           double half = row(o[0])[l].halfwidth();
           for (std::uint32_t k = 1; k < node.count; ++k) {
@@ -447,9 +305,10 @@ void Program::exec_stochastic_fused(const LaneEnvironment& env,
       case OpCode::kMax:
       case OpCode::kMin: {
         const std::uint32_t* o = ops + node.first;
-        StochasticValue* const r = row(i);
         if (node.policy == stoch::ExtremePolicy::kClark) {
-          for (std::size_t l = 0; l < L; ++l) {
+          // Clark's moment-matching fold has no cheap scan form; keep the
+          // gather + library path for it.
+          for (std::size_t l = 0; l < lanes; ++l) {
             ws.scratch.clear();
             for (std::uint32_t k = 0; k < node.count; ++k) {
               ws.scratch.push_back(row(o[k])[l]);
@@ -460,7 +319,12 @@ void Program::exec_stochastic_fused(const LaneEnvironment& env,
           }
           break;
         }
-        for (std::size_t l = 0; l < L; ++l) {
+        // kLargestMean / kLargestUpper select one operand. smin's
+        // negate/smax/negate definition reduces to picking the smallest
+        // mean (resp. smallest lower bound): IEEE negation is exact, so
+        // comparing negated quantities and un-negating the winner returns
+        // that operand bit-for-bit.
+        for (std::size_t l = 0; l < lanes; ++l) {
           std::uint32_t best = o[0];
           if (node.policy == stoch::ExtremePolicy::kLargestMean) {
             for (std::uint32_t k = 1; k < node.count; ++k) {
@@ -481,11 +345,12 @@ void Program::exec_stochastic_fused(const LaneEnvironment& env,
         }
         break;
       }
-      case OpCode::kDiv: {
-        StochasticValue* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) {
+      case OpCode::kDiv:
+        for (std::size_t l = 0; l < lanes; ++l) {
           const StochasticValue& x = row(ops[node.first])[l];
           const StochasticValue& y = row(ops[node.first + 1])[l];
+          // stoch::div = guard + mul(x, inverse(y)); the zero-straddle
+          // diagnostic stays with the library on the cold path.
           if (y.lower() <= 0.0 && y.upper() >= 0.0) {
             r[l] = stoch::div(x, y, node.dep);  // throws with full context
             continue;
@@ -509,12 +374,12 @@ void Program::exec_stochastic_fused(const LaneEnvironment& env,
           r[l] = StochasticValue(m, half);
         }
         break;
-      }
       case OpCode::kIterate: {
-        StochasticValue* const r = row(i);
         const StochasticValue* const body = row(i - 1);
         const double n = static_cast<double>(node.payload);
-        for (std::size_t l = 0; l < L; ++l) {
+        // Related: the same slow machine stays slow every iteration -> n·a.
+        // Unrelated: iteration noise averages out -> sqrt(n)·a.
+        for (std::size_t l = 0; l < lanes; ++l) {
           const double half = node.dep == Dependence::kRelated
                                   ? n * body[l].halfwidth()
                                   : std::sqrt(n) * body[l].halfwidth();
@@ -523,13 +388,29 @@ void Program::exec_stochastic_fused(const LaneEnvironment& env,
         break;
       }
       case OpCode::kRef: {
-        StochasticValue* const r = row(i);
+        // Deterministic evaluation of a subtree is context-free, so a
+        // shared occurrence's value can simply be copied.
         const StochasticValue* const src = row(node.payload);
-        for (std::size_t l = 0; l < L; ++l) r[l] = src[l];
+        for (std::size_t l = 0; l < lanes; ++l) r[l] = src[l];
         break;
       }
     }
   }
+}
+
+StochasticValue Program::evaluate(const SlotEnvironment& env,
+                                  EvalWorkspace& ws) const {
+  SSPRED_REQUIRE(env.size() == slot_count(),
+                 "slot environment shape does not match the program (create "
+                 "it with make_environment())");
+  ws.values.resize(nodes_.size());
+  exec_stochastic(env, OneLane{}, ws);
+  return ws.values[nodes_.size() - 1];
+}
+
+StochasticValue Program::evaluate(const SlotEnvironment& env) const {
+  EvalWorkspace ws;
+  return evaluate(env, ws);
 }
 
 void Program::evaluate_fused(const LaneEnvironment& env, EvalWorkspace& ws,
@@ -542,60 +423,83 @@ void Program::evaluate_fused(const LaneEnvironment& env, EvalWorkspace& ws,
   const std::size_t L = env.lanes();
   if (L == 0) return;
   ws.values.resize(nodes_.size() * L);
-  exec_stochastic_fused(env, ws);
+  exec_stochastic(env, L, ws);
   std::copy_n(ws.values.data() + (nodes_.size() - 1) * L, L, out.begin());
 }
 
 // --- Point walk -----------------------------------------------------------
+//
+// Same lane-count template over the SoA arena: one `lanes`-wide double row
+// per node (ws.lane_values), flat elementwise kernels over the lane
+// dimension. The deterministic point walk has no draw events or skip
+// protocol.
 
-void Program::exec_point(const SlotEnvironment& env, EvalWorkspace& ws) const {
+template <class Env, class Lanes>
+void Program::exec_point(const Env& env, Lanes lanes, EvalWorkspace& ws) const {
+  double* const vals = ws.lane_values.data();
+  const std::uint32_t* const ops = operands_.data();
+  const auto row = [vals, lanes](std::uint32_t i) {
+    return vals + static_cast<std::size_t>(i) * lanes;
+  };
   for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
     const Node& node = nodes_[i];
+    double* const r = row(i);
     switch (node.op) {
       case OpCode::kConst:
-        ws.point_values[i] = constants_[node.payload].mean();
+        std::fill_n(r, lanes, constants_[node.payload].mean());
         break;
       case OpCode::kParam:
-        ws.point_values[i] = env.lookup(node.payload).mean();
-        break;
-      case OpCode::kSum: {
-        double acc = 0.0;
-        for (std::uint32_t k = 0; k < node.count; ++k) {
-          acc += ws.point_values[operands_[node.first + k]];
+        for (std::size_t l = 0; l < lanes; ++l) {
+          r[l] = lookup(env, l, node.payload).mean();
         }
-        ws.point_values[i] = acc;
         break;
-      }
-      case OpCode::kProd: {
-        double acc = 1.0;
+      case OpCode::kSum:
+        std::fill_n(r, lanes, 0.0);
         for (std::uint32_t k = 0; k < node.count; ++k) {
-          acc *= ws.point_values[operands_[node.first + k]];
+          const double* const b = row(ops[node.first + k]);
+          SSPRED_SIMD_LOOP
+          for (std::size_t l = 0; l < lanes; ++l) r[l] += b[l];
         }
-        ws.point_values[i] = acc;
         break;
-      }
+      case OpCode::kProd:
+        std::fill_n(r, lanes, 1.0);
+        for (std::uint32_t k = 0; k < node.count; ++k) {
+          const double* const b = row(ops[node.first + k]);
+          SSPRED_SIMD_LOOP
+          for (std::size_t l = 0; l < lanes; ++l) r[l] *= b[l];
+        }
+        break;
       case OpCode::kMax:
-      case OpCode::kMin: {
-        double acc = ws.point_values[operands_[node.first]];
+      case OpCode::kMin:
+        std::copy_n(row(ops[node.first]), lanes, r);
         for (std::uint32_t k = 1; k < node.count; ++k) {
-          const double v = ws.point_values[operands_[node.first + k]];
-          acc = node.op == OpCode::kMax ? std::max(acc, v) : std::min(acc, v);
+          const double* const b = row(ops[node.first + k]);
+          SSPRED_SIMD_LOOP
+          for (std::size_t l = 0; l < lanes; ++l) {
+            r[l] = node.op == OpCode::kMax ? std::max(r[l], b[l])
+                                           : std::min(r[l], b[l]);
+          }
         }
-        ws.point_values[i] = acc;
         break;
-      }
       case OpCode::kDiv: {
-        const double d = ws.point_values[operands_[node.first + 1]];
-        SSPRED_REQUIRE(d != 0.0, "point division by zero");
-        ws.point_values[i] = ws.point_values[operands_[node.first]] / d;
+        const double* const num = row(ops[node.first]);
+        const double* const den = row(ops[node.first + 1]);
+        bool zero = false;
+        for (std::size_t l = 0; l < lanes; ++l) zero = zero || den[l] == 0.0;
+        SSPRED_REQUIRE(!zero, "point division by zero");
+        SSPRED_SIMD_LOOP
+        for (std::size_t l = 0; l < lanes; ++l) r[l] = num[l] / den[l];
         break;
       }
-      case OpCode::kIterate:
-        ws.point_values[i] =
-            static_cast<double>(node.payload) * ws.point_values[i - 1];
+      case OpCode::kIterate: {
+        const double n = static_cast<double>(node.payload);
+        const double* const body = row(i - 1);
+        SSPRED_SIMD_LOOP
+        for (std::size_t l = 0; l < lanes; ++l) r[l] = n * body[l];
         break;
+      }
       case OpCode::kRef:
-        ws.point_values[i] = ws.point_values[node.payload];
+        std::copy_n(row(node.payload), lanes, r);
         break;
     }
   }
@@ -606,99 +510,14 @@ double Program::evaluate_point(const SlotEnvironment& env,
   SSPRED_REQUIRE(env.size() == slot_count(),
                  "slot environment shape does not match the program (create "
                  "it with make_environment())");
-  resize_workspace(ws);
-  exec_point(env, ws);
-  return ws.point_values[nodes_.size() - 1];
+  ws.lane_values.resize(nodes_.size());
+  exec_point(env, OneLane{}, ws);
+  return ws.lane_values[nodes_.size() - 1];
 }
 
 double Program::evaluate_point(const SlotEnvironment& env) const {
   EvalWorkspace ws;
   return evaluate_point(env, ws);
-}
-
-// Fused variant of exec_point over the SoA arena: one L-wide double row per
-// node (ws.lane_values), flat elementwise kernels over the lane dimension.
-// The deterministic point walk has no draw events or skip protocol, so this
-// is a straight transposition of exec_point.
-void Program::exec_point_fused(const LaneEnvironment& env,
-                               EvalWorkspace& ws) const {
-  const std::size_t L = env.lanes();
-  double* const vals = ws.lane_values.data();
-  const std::uint32_t* const ops = operands_.data();
-  const auto row = [vals, L](std::uint32_t i) {
-    return vals + static_cast<std::size_t>(i) * L;
-  };
-  for (std::uint32_t i = 0; i < nodes_.size(); ++i) {
-    const Node& node = nodes_[i];
-    switch (node.op) {
-      case OpCode::kConst:
-        std::fill_n(row(i), L, constants_[node.payload].mean());
-        break;
-      case OpCode::kParam: {
-        double* const r = row(i);
-        for (std::size_t l = 0; l < L; ++l) {
-          r[l] = env.lookup(l, node.payload).mean();
-        }
-        break;
-      }
-      case OpCode::kSum: {
-        double* const r = row(i);
-        std::fill_n(r, L, 0.0);
-        for (std::uint32_t k = 0; k < node.count; ++k) {
-          const double* const b = row(ops[node.first + k]);
-          SSPRED_SIMD_LOOP
-          for (std::size_t l = 0; l < L; ++l) r[l] += b[l];
-        }
-        break;
-      }
-      case OpCode::kProd: {
-        double* const r = row(i);
-        std::fill_n(r, L, 1.0);
-        for (std::uint32_t k = 0; k < node.count; ++k) {
-          const double* const b = row(ops[node.first + k]);
-          SSPRED_SIMD_LOOP
-          for (std::size_t l = 0; l < L; ++l) r[l] *= b[l];
-        }
-        break;
-      }
-      case OpCode::kMax:
-      case OpCode::kMin: {
-        double* const r = row(i);
-        std::copy_n(row(ops[node.first]), L, r);
-        for (std::uint32_t k = 1; k < node.count; ++k) {
-          const double* const b = row(ops[node.first + k]);
-          SSPRED_SIMD_LOOP
-          for (std::size_t l = 0; l < L; ++l) {
-            r[l] = node.op == OpCode::kMax ? std::max(r[l], b[l])
-                                           : std::min(r[l], b[l]);
-          }
-        }
-        break;
-      }
-      case OpCode::kDiv: {
-        const double* const num = row(ops[node.first]);
-        const double* const den = row(ops[node.first + 1]);
-        double* const r = row(i);
-        bool zero = false;
-        for (std::size_t l = 0; l < L; ++l) zero = zero || den[l] == 0.0;
-        SSPRED_REQUIRE(!zero, "point division by zero");
-        SSPRED_SIMD_LOOP
-        for (std::size_t l = 0; l < L; ++l) r[l] = num[l] / den[l];
-        break;
-      }
-      case OpCode::kIterate: {
-        const double n = static_cast<double>(node.payload);
-        const double* const body = row(i - 1);
-        double* const r = row(i);
-        SSPRED_SIMD_LOOP
-        for (std::size_t l = 0; l < L; ++l) r[l] = n * body[l];
-        break;
-      }
-      case OpCode::kRef:
-        std::copy_n(row(node.payload), L, row(i));
-        break;
-    }
-  }
 }
 
 void Program::evaluate_point_fused(const LaneEnvironment& env,
@@ -712,7 +531,7 @@ void Program::evaluate_point_fused(const LaneEnvironment& env,
   const std::size_t L = env.lanes();
   if (L == 0) return;
   ws.lane_values.resize(nodes_.size() * L);
-  exec_point_fused(env, ws);
+  exec_point(env, L, ws);
   std::copy_n(ws.lane_values.data() + (nodes_.size() - 1) * L, L, out.begin());
 }
 
@@ -858,42 +677,30 @@ double Program::sample(const SlotEnvironment& env, support::Rng& rng,
 
 // --- Blocked trial-major engine ---------------------------------------------
 //
-// exec_blocked is exec_sample transposed: instead of one trial flowing
+// exec_blocked_impl is exec_sample transposed: instead of one trial flowing
 // through all nodes, each node processes a whole block of trials against
-// structure-of-arrays rows (lane_values[node][lane], lane_slots[slot][lane],
-// both kBlockTrials wide). Group ops become flat elementwise kernels the
-// compiler can vectorize; every stochastic draw event becomes one batched
-// ziggurat fill. The skip/iterate/ref structure — and therefore the
-// per-trial sampling semantics — is identical to the scalar walk; only the
-// RNG stream order differs (see SampleOrder::kBlocked in the header).
+// structure-of-arrays rows (lane_values[node][lane], lane_slots[slot][lane]).
+// Group ops become flat elementwise kernels the compiler can vectorize;
+// every stochastic draw event becomes one batched ziggurat fill. The
+// skip/iterate/ref structure — and therefore the per-trial sampling
+// semantics — is identical to the scalar walk; only the RNG stream order
+// differs (see SampleOrder::kBlocked in the header). Every request runs
+// as a lane of the block driver (sample_blocks): the solo entry points
+// are its one-lane instance, sample_adaptive_fused its many-lane one.
 
 namespace {
 
-/// Draw-site policy of the single-request blocked walk: every fill spans
-/// the whole occupied row prefix and consumes the one request RNG — the
-/// original exec_blocked behavior, preserved instruction for instruction
-/// (the kBlocked golden-replay tests pin its stream).
-struct SingleFill {
-  const SlotEnvironment* env;
-  support::Rng* rng;
-  void slot(std::uint32_t s, double* row, std::size_t lanes) {
-    fill_lane(env->lookup(s), *rng, row, lanes);
-  }
-  void constant(const StochasticValue& v, double* row, std::size_t lanes) {
-    fill_lane(v, *rng, row, lanes);
-  }
-};
-
-/// Draw-site policy of the adaptive fused walk: the occupied row prefix
-/// packs the surviving lanes' segments back to back (survivor i occupies
+/// The blocked walk's draw-site policy: the occupied row prefix packs the
+/// surviving lanes' segments back to back (survivor i occupies
 /// [offsets[i], offsets[i] + widths[i])), and each survivor draws from
 /// its ORIGINAL request's RNG (rng_ids[i] indexes the caller's rngs
 /// array) with its own standalone block width. Every draw event a
 /// surviving lane sees is therefore identical — source RNG, width,
-/// order — to its solo sample_adaptive walk, no matter how many other
-/// lanes have retired and compacted away.
+/// order — to its one-lane run, no matter how many other lanes share the
+/// sweep or have retired and compacted away.
+template <class Env>
 struct AdaptiveFill {
-  const LaneEnvironment* env;  ///< compacted: lane i is survivor i
+  const Env* env;              ///< compacted: lane i is survivor i
   support::Rng* rngs;          ///< original per-request RNG array
   const std::size_t* rng_ids;  ///< survivor i -> original request index
   const std::size_t* offsets;
@@ -901,7 +708,7 @@ struct AdaptiveFill {
   std::size_t active;
   void slot(std::uint32_t s, double* row, std::size_t /*lanes*/) {
     for (std::size_t i = 0; i < active; ++i) {
-      fill_lane(env->lookup(i, s), rngs[rng_ids[i]], row + offsets[i],
+      fill_lane(lookup(*env, i, s), rngs[rng_ids[i]], row + offsets[i],
                 widths[i]);
     }
   }
@@ -914,13 +721,6 @@ struct AdaptiveFill {
 };
 
 }  // namespace
-
-void Program::exec_blocked(const SlotEnvironment& env, support::Rng& rng,
-                           EvalWorkspace& ws, std::uint32_t lo,
-                           std::uint32_t hi, std::size_t lanes) const {
-  SingleFill fill{&env, &rng};
-  exec_blocked_impl(fill, ws, lo, hi, lanes, kBlockTrials);
-}
 
 template <class Fill>
 void Program::exec_blocked_impl(Fill& fill, EvalWorkspace& ws,
@@ -1080,85 +880,21 @@ void Program::exec_blocked_impl(Fill& fill, EvalWorkspace& ws,
   }
 }
 
-void Program::sample_into(const SlotEnvironment& env, support::Rng& rng,
-                          std::span<double> out, EvalWorkspace& ws,
-                          SampleOrder order) const {
-  SSPRED_REQUIRE(env.size() == slot_count(),
-                 "slot environment shape does not match the program (create "
-                 "it with make_environment())");
-  resize_workspace(ws);
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  if (order == SampleOrder::kScalarCompat) {
-    for (double& o : out) {
-      std::fill(ws.slot_drawn.begin(), ws.slot_drawn.end(),
-                static_cast<std::uint8_t>(0));
-      exec_sample(env, rng, ws, 0, n);
-      o = ws.point_values[n - 1];
-    }
-    return;
-  }
-  ws.lane_values.resize(nodes_.size() * kBlockTrials);
-  ws.lane_slots.resize(slot_count() * kBlockTrials);
-  const double* const root =
-      ws.lane_values.data() + static_cast<std::size_t>(n - 1) * kBlockTrials;
-  std::size_t done = 0;
-  while (done < out.size()) {
-    const std::size_t lanes = std::min(kBlockTrials, out.size() - done);
-    // Block prologue: one batched draw per live slot, ascending slot id.
-    // Dead slots (present in the table, read by no node) draw nothing.
-    for (const std::uint32_t s : live_slots_) {
-      fill_lane(env.lookup(s), rng,
-                ws.lane_slots.data() + static_cast<std::size_t>(s) * kBlockTrials,
-                lanes);
-    }
-    exec_blocked(env, rng, ws, 0, n, lanes);
-    std::copy_n(root, lanes, out.begin() + static_cast<std::ptrdiff_t>(done));
-    done += lanes;
-  }
-}
-
-StochasticValue Program::sample_trials(const SlotEnvironment& env,
-                                       support::Rng& rng, std::size_t trials,
-                                       EvalWorkspace& ws,
-                                       SampleOrder order) const {
-  SSPRED_REQUIRE(trials >= 2, "sample_trials needs at least 2 trials");
-  SSPRED_REQUIRE(env.size() == slot_count(),
-                 "slot environment shape does not match the program (create "
-                 "it with make_environment())");
-  // A fully folded point program needs no sampling at all: every trial
-  // would be exactly the mean. Short-circuiting is observable only through
-  // summary rounding, so it is reserved for the blocked contract;
-  // kScalarCompat keeps the trial loop (and its bit-exact summary).
-  if (order == SampleOrder::kBlocked && nodes_.size() == 1 &&
-      nodes_[0].op == OpCode::kConst && constants_[0].is_point()) {
-    return constants_[0];
-  }
-  ws.trial_results.resize(trials);
-  sample_into(env, rng, ws.trial_results, ws, order);
-  return StochasticValue::from_sample(ws.trial_results);
-}
-
-StochasticValue Program::sample_trials(const SlotEnvironment& env,
-                                       support::Rng& rng, std::size_t trials,
-                                       SampleOrder order) const {
-  EvalWorkspace ws;
-  return sample_trials(env, rng, trials, ws, order);
-}
-
 // --- Adaptive (sequentially stopped) Monte-Carlo ----------------------------
 //
-// sample_adaptive runs the blocked engine in stats::next_block_width
-// blocks and consults the stop rule between blocks; the decision is a
+// sample_blocks runs the blocked engine in stats::next_block_width blocks
+// and consults each lane's stop rule between blocks; the decision is a
 // pure function of the sampled values, so trial counts are reproducible
-// from the seed. A fixed rule walks the exact sample_trials(kBlocked)
-// schedule — same block widths, same draw order — and a precision rule
-// uses doubling checkpoints so easy targets stop in hundreds of trials.
-// sample_adaptive_fused packs per-lane segments of per-lane widths into
-// the SoA rows (AdaptiveFill), so lanes with different rules (mixed fixed
-// + precision) share one sweep, retiring and compacting converged lanes
-// at block boundaries. A fixed rule's stop needs only the sample count,
-// so fixed runs never feed the estimator: the Welford pass would cost
-// about a tenth of the sampling itself.
+// from the seed. A fixed rule walks straight kBlockTrials blocks with a
+// partial last one — the kBlocked schedule of sample_trials and
+// sample_into, which are fixed-rule runs of this driver — and a precision
+// rule uses doubling checkpoints so easy targets stop in hundreds of
+// trials. Lanes pack per-lane segments of per-lane widths into the SoA
+// rows (AdaptiveFill), so lanes with different rules (mixed fixed +
+// precision) share one sweep, retiring and compacting converged lanes at
+// block boundaries. A fixed rule's stop needs only the sample count, so
+// fixed runs never feed the estimator: the Welford pass would cost about
+// a tenth of the sampling itself.
 
 namespace {
 
@@ -1189,6 +925,151 @@ namespace {
 
 }  // namespace
 
+template <class Env>
+void Program::sample_blocks(const Env& env, std::span<support::Rng> rngs,
+                            std::span<const stats::StopRule> rules,
+                            EvalWorkspace& ws) const {
+  const std::size_t requests = rngs.size();
+  if (ws.adaptive_samples.size() < requests) {
+    ws.adaptive_samples.resize(requests);
+  }
+  auto& est = ws.adaptive_est;
+  est.clear();
+  for (std::size_t k = 0; k < requests; ++k) {
+    est.emplace_back(rules[k]);
+    ws.adaptive_samples[k].clear();
+  }
+  auto& active = ws.adaptive_active;
+  auto& offsets = ws.adaptive_offsets;
+  auto& widths = ws.adaptive_widths;
+  active.resize(requests);
+  for (std::size_t k = 0; k < requests; ++k) active[k] = k;
+  // Retirement rebuilds a compacted environment over the survivors (in
+  // stable original order); `cur` points at whichever environment the
+  // current sweep should read.
+  const Env* cur = &env;
+  const auto n = static_cast<std::uint32_t>(nodes_.size());
+  while (!active.empty()) {
+    const std::size_t count = active.size();
+    offsets.resize(count);
+    widths.resize(count);
+    std::size_t total = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t k = active[i];
+      offsets[i] = total;
+      widths[i] = stats::next_block_width(ws.adaptive_samples[k].size(),
+                                          rules[k], kBlockTrials);
+      total += widths[i];
+    }
+    const std::size_t stride = count * kBlockTrials;
+    ws.lane_values.resize(nodes_.size() * stride);
+    ws.lane_slots.resize(slot_count() * stride);
+    const double* const root =
+        ws.lane_values.data() + static_cast<std::size_t>(n - 1) * stride;
+    AdaptiveFill<Env> fill{cur,            rngs.data(),   active.data(),
+                           offsets.data(), widths.data(), count};
+    // Block prologue per surviving lane: one batched draw per live slot,
+    // ascending slot id, each lane at its standalone width (the kBlocked
+    // contract). Dead slots (present in the table, read by no node) draw
+    // nothing.
+    for (const std::uint32_t s : live_slots_) {
+      fill.slot(s, ws.lane_slots.data() + static_cast<std::size_t>(s) * stride,
+                0);
+    }
+    exec_blocked_impl(fill, ws, 0, n, total, stride);
+    // Harvest every survivor's segment, then retire finished lanes at the
+    // block boundary (a one-lane run checks its rule at the same points).
+    std::size_t keep = 0;
+    for (std::size_t i = 0; i < count; ++i) {
+      const std::size_t k = active[i];
+      auto& samples = ws.adaptive_samples[k];
+      samples.insert(samples.end(), root + offsets[i],
+                     root + offsets[i] + widths[i]);
+      if (rules[k].target > 0.0) est[k].add({root + offsets[i], widths[i]});
+      if (!adaptive_done(est[k], samples.size())) active[keep++] = k;
+    }
+    if (keep != count) {
+      active.resize(keep);
+      // A one-lane environment has no survivors left to compact.
+      if constexpr (std::is_same_v<Env, LaneEnvironment>) {
+        if (!active.empty()) {
+          ws.adaptive_compact.assign_compacted(env, active);
+          cur = &ws.adaptive_compact;
+        }
+      }
+    }
+  }
+}
+
+template <class Env>
+void Program::sample_adaptive_lanes(const Env& env,
+                                    std::span<support::Rng> rngs,
+                                    std::span<const stats::StopRule> rules,
+                                    EvalWorkspace& ws,
+                                    std::span<AdaptiveResult> out) const {
+  // A fully folded point program samples to exactly its constant, drawing
+  // nothing. Short-circuiting is observable only through summary
+  // rounding, so only the kBlocked summaries take it; sample_into and
+  // kScalarCompat keep their trial loops.
+  if (nodes_.size() == 1 && nodes_[0].op == OpCode::kConst &&
+      constants_[0].is_point()) {
+    std::fill(out.begin(), out.end(),
+              AdaptiveResult{constants_[0], 0, 0.0, true});
+    return;
+  }
+  sample_blocks(env, rngs, rules, ws);
+  for (std::size_t k = 0; k < out.size(); ++k) {
+    out[k] = adaptive_result(ws.adaptive_est[k], ws.adaptive_samples[k]);
+  }
+}
+
+void Program::sample_into(const SlotEnvironment& env, support::Rng& rng,
+                          std::span<double> out, EvalWorkspace& ws,
+                          SampleOrder order) const {
+  SSPRED_REQUIRE(env.size() == slot_count(),
+                 "slot environment shape does not match the program (create "
+                 "it with make_environment())");
+  if (order == SampleOrder::kScalarCompat) {
+    resize_workspace(ws);
+    const auto n = static_cast<std::uint32_t>(nodes_.size());
+    for (double& o : out) {
+      std::fill(ws.slot_drawn.begin(), ws.slot_drawn.end(),
+                static_cast<std::uint8_t>(0));
+      exec_sample(env, rng, ws, 0, n);
+      o = ws.point_values[n - 1];
+    }
+    return;
+  }
+  if (out.empty()) return;
+  // One fixed-count lane of the block driver. It collects samples in
+  // ws.adaptive_samples, never ws.trial_results, so `out` may be the
+  // latter (serve's chunk fan-out passes it).
+  const stats::StopRule rule = stats::StopRule::fixed(out.size());
+  sample_blocks(env, std::span(&rng, 1), std::span(&rule, 1), ws);
+  std::copy(ws.adaptive_samples[0].begin(), ws.adaptive_samples[0].end(),
+            out.begin());
+}
+
+StochasticValue Program::sample_trials(const SlotEnvironment& env,
+                                       support::Rng& rng, std::size_t trials,
+                                       EvalWorkspace& ws,
+                                       SampleOrder order) const {
+  SSPRED_REQUIRE(trials >= 2, "sample_trials needs at least 2 trials");
+  if (order == SampleOrder::kBlocked) {
+    return sample_adaptive(env, rng, stats::StopRule::fixed(trials), ws).value;
+  }
+  ws.trial_results.resize(trials);
+  sample_into(env, rng, ws.trial_results, ws, order);
+  return StochasticValue::from_sample(ws.trial_results);
+}
+
+StochasticValue Program::sample_trials(const SlotEnvironment& env,
+                                       support::Rng& rng, std::size_t trials,
+                                       SampleOrder order) const {
+  EvalWorkspace ws;
+  return sample_trials(env, rng, trials, ws, order);
+}
+
 AdaptiveResult Program::sample_adaptive(const SlotEnvironment& env,
                                         support::Rng& rng,
                                         const stats::StopRule& rule,
@@ -1198,38 +1079,10 @@ AdaptiveResult Program::sample_adaptive(const SlotEnvironment& env,
   SSPRED_REQUIRE(env.size() == slot_count(),
                  "slot environment shape does not match the program (create "
                  "it with make_environment())");
-  // Same fully-folded short-circuit as sample_trials' kBlocked contract:
-  // a point program samples to exactly its constant, drawing nothing.
-  if (nodes_.size() == 1 && nodes_[0].op == OpCode::kConst &&
-      constants_[0].is_point()) {
-    return AdaptiveResult{constants_[0], 0, 0.0, true};
-  }
-  resize_workspace(ws);
-  ws.lane_values.resize(nodes_.size() * kBlockTrials);
-  ws.lane_slots.resize(slot_count() * kBlockTrials);
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  const double* const root =
-      ws.lane_values.data() + static_cast<std::size_t>(n - 1) * kBlockTrials;
-  stats::SequentialEstimator est(rule);
-  ws.trial_results.clear();
-  for (;;) {
-    const std::size_t lanes =
-        stats::next_block_width(ws.trial_results.size(), rule, kBlockTrials);
-    if (lanes == 0) break;
-    // Block prologue: one batched draw per live slot, ascending slot id
-    // (the kBlocked contract; see sample_into).
-    for (const std::uint32_t s : live_slots_) {
-      fill_lane(
-          env.lookup(s), rng,
-          ws.lane_slots.data() + static_cast<std::size_t>(s) * kBlockTrials,
-          lanes);
-    }
-    exec_blocked(env, rng, ws, 0, n, lanes);
-    ws.trial_results.insert(ws.trial_results.end(), root, root + lanes);
-    if (rule.target > 0.0) est.add({root, lanes});
-    if (adaptive_done(est, ws.trial_results.size())) break;
-  }
-  return adaptive_result(est, ws.trial_results);
+  AdaptiveResult result;
+  sample_adaptive_lanes(env, std::span(&rng, 1), std::span(&rule, 1), ws,
+                        std::span(&result, 1));
+  return result;
 }
 
 AdaptiveResult Program::sample_adaptive(const SlotEnvironment& env,
@@ -1251,86 +1104,11 @@ void Program::sample_adaptive_fused(const LaneEnvironment& env,
                      out.size() == env.lanes(),
                  "sample_adaptive_fused: rngs/rules/out sizes must equal "
                  "env.lanes()");
-  const std::size_t requests = env.lanes();
-  if (requests == 0) return;
   for (const stats::StopRule& rule : rules) {
     SSPRED_REQUIRE(rule.max_trials >= 2,
                    "sample_adaptive_fused needs rule.max_trials >= 2");
   }
-  if (nodes_.size() == 1 && nodes_[0].op == OpCode::kConst &&
-      constants_[0].is_point()) {
-    std::fill(out.begin(), out.end(),
-              AdaptiveResult{constants_[0], 0, 0.0, true});
-    return;
-  }
-  resize_workspace(ws);
-  if (ws.adaptive_samples.size() < requests) {
-    ws.adaptive_samples.resize(requests);
-  }
-  auto& est = ws.adaptive_est;
-  est.clear();
-  for (std::size_t k = 0; k < requests; ++k) {
-    est.emplace_back(rules[k]);
-    ws.adaptive_samples[k].clear();
-  }
-  auto& active = ws.adaptive_active;
-  auto& offsets = ws.adaptive_offsets;
-  auto& widths = ws.adaptive_widths;
-  active.resize(requests);
-  for (std::size_t k = 0; k < requests; ++k) active[k] = k;
-  // Retirement rebuilds a compacted environment over the survivors (in
-  // stable original order); `cur` points at whichever environment the
-  // current sweep should read.
-  const LaneEnvironment* cur = &env;
-  const auto n = static_cast<std::uint32_t>(nodes_.size());
-  while (!active.empty()) {
-    const std::size_t count = active.size();
-    offsets.resize(count);
-    widths.resize(count);
-    std::size_t total = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t k = active[i];
-      offsets[i] = total;
-      widths[i] = stats::next_block_width(ws.adaptive_samples[k].size(),
-                                          rules[k], kBlockTrials);
-      total += widths[i];
-    }
-    const std::size_t stride = count * kBlockTrials;
-    ws.lane_values.resize(nodes_.size() * stride);
-    ws.lane_slots.resize(slot_count() * stride);
-    const double* const root =
-        ws.lane_values.data() + static_cast<std::size_t>(n - 1) * stride;
-    AdaptiveFill fill{cur,            rngs.data(),   active.data(),
-                      offsets.data(), widths.data(), count};
-    // Block prologue per surviving lane: every live slot ascending, each
-    // lane at its standalone width (see AdaptiveFill).
-    for (const std::uint32_t s : live_slots_) {
-      fill.slot(s, ws.lane_slots.data() + static_cast<std::size_t>(s) * stride,
-                0);
-    }
-    exec_blocked_impl(fill, ws, 0, n, total, stride);
-    // Harvest every survivor's segment, then retire converged lanes at
-    // the block boundary (solo runs check the rule at the same points).
-    std::size_t keep = 0;
-    for (std::size_t i = 0; i < count; ++i) {
-      const std::size_t k = active[i];
-      auto& samples = ws.adaptive_samples[k];
-      samples.insert(samples.end(), root + offsets[i],
-                     root + offsets[i] + widths[i]);
-      if (rules[k].target > 0.0) est[k].add({root + offsets[i], widths[i]});
-      if (!adaptive_done(est[k], samples.size())) active[keep++] = k;
-    }
-    if (keep != count) {
-      active.resize(keep);
-      if (!active.empty()) {
-        ws.adaptive_compact.assign_compacted(env, active);
-        cur = &ws.adaptive_compact;
-      }
-    }
-  }
-  for (std::size_t k = 0; k < requests; ++k) {
-    out[k] = adaptive_result(est[k], ws.adaptive_samples[k]);
-  }
+  sample_adaptive_lanes(env, rngs, rules, ws, out);
 }
 
 // --- Builder --------------------------------------------------------------

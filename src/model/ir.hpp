@@ -28,13 +28,19 @@
 // evaluates N independent sets of bindings — a LaneEnvironment, the slot
 // table columned by request lane — in one sweep over the node buffer,
 // amortizing per-node dispatch across concurrent requests instead of only
-// across the trials of one request. Every fused variant is bit-exact per
-// lane against its single-request counterpart (sample_adaptive_fused
+// across the trials of one request. Each evaluation mode has ONE walk,
+// templated on the environment and the lane count: the single-request
+// entry points are its one-lane instance (a SlotEnvironment, lane count 1
+// at compile time; blocked Monte-Carlo is one fixed- or adaptive-rule lane
+// of the sample_adaptive_fused driver). Every lane of a fused call
+// therefore runs the same per-lane code as its single-request counterpart
+// and is bit-exact against it by construction (sample_adaptive_fused
 // drives one RNG substream per lane, reproducing each lane's standalone
 // kBlocked stream bit for bit; a fixed rule reproduces sample_trials), so
 // fusing is a pure throughput optimization: the serving layer runs every
 // request as a lane of such a batch, one lane or many, without any
-// observable effect on results (tests/fused_test.cpp pins this).
+// observable effect on results (tests/fused_test.cpp pins this, and pins
+// the fused lanes to the independent Expr tree as well).
 #pragma once
 
 #include <cstdint>
@@ -197,21 +203,24 @@ class LaneEnvironment {
 struct EvalWorkspace {
   std::vector<stoch::StochasticValue> values;   ///< per-node stochastic value
   std::vector<stoch::StochasticValue> scratch;  ///< operand gather buffer
-  std::vector<double> point_values;             ///< per-node point/sample
+  std::vector<double> point_values;             ///< per-node scalar sample
   std::vector<double> slot_sample;              ///< per-slot trial draw
   std::vector<std::uint8_t> slot_drawn;         ///< per-slot cache validity
   std::vector<double> saved_sample;             ///< iterate slot save/restore
   std::vector<std::uint8_t> saved_drawn;
   std::vector<double> saved_values;             ///< ref region save/restore
-  std::vector<double> trial_results;            ///< sample_trials batch
+  /// kScalarCompat sample_trials batch; the blocked engine never touches
+  /// it, so callers may pass it to sample_into as the output buffer.
+  std::vector<double> trial_results;
   // Blocked-engine structure-of-arrays arenas (one kBlockTrials-wide row
   // per node / per slot; kept hot across calls, so serving workers pay no
   // per-request allocation on the Monte-Carlo path after warmup).
-  std::vector<double> lane_values;              ///< node-major value rows
+  std::vector<double> lane_values;  ///< node-major value rows (and points)
   std::vector<double> lane_slots;               ///< slot-major draw rows
   std::vector<double> lane_saved;               ///< row save/restore stack
-  // Adaptive-sampling scratch (per-lane sample buffers and bookkeeping;
-  // reused across calls like the arenas above).
+  // Block-driver scratch for every blocked Monte-Carlo entry point
+  // (per-lane sample buffers and bookkeeping; reused across calls like
+  // the arenas above).
   std::vector<std::vector<double>> adaptive_samples;
   std::vector<std::size_t> adaptive_active;     ///< surviving lane ids
   std::vector<std::size_t> adaptive_offsets;    ///< per-lane segment starts
@@ -373,30 +382,44 @@ class Program {
   /// live slots) from nodes_; called after building and after rewrites.
   void reindex();
   void resize_workspace(EvalWorkspace& ws) const;
-  void exec_stochastic(const SlotEnvironment& env, EvalWorkspace& ws) const;
-  void exec_point(const SlotEnvironment& env, EvalWorkspace& ws) const;
+  /// The §2.3 stochastic walk over `lanes` lanes of `env` (a
+  /// SlotEnvironment is one lane): ws.values becomes node-major
+  /// (values[node * lanes + lane]). evaluate() instantiates it with a
+  /// compile-time lane count of 1, evaluate_fused() with env.lanes().
+  template <class Env, class Lanes>
+  void exec_stochastic(const Env& env, Lanes lanes, EvalWorkspace& ws) const;
+  /// The point walk, same instantiations, over ws.lane_values.
+  template <class Env, class Lanes>
+  void exec_point(const Env& env, Lanes lanes, EvalWorkspace& ws) const;
   /// Executes nodes [lo, hi) of the sample walk, skipping regions that are
   /// bodies of unrelated-iterate nodes (those re-run under the iterate
   /// node's own loop, with fresh per-slot draws each iteration).
   void exec_sample(const SlotEnvironment& env, support::Rng& rng,
                    EvalWorkspace& ws, std::uint32_t lo, std::uint32_t hi) const;
   /// Blocked analogue of exec_sample: executes nodes [lo, hi) for `lanes`
-  /// trials at once against the workspace's SoA rows.
-  void exec_blocked(const SlotEnvironment& env, support::Rng& rng,
-                    EvalWorkspace& ws, std::uint32_t lo, std::uint32_t hi,
-                    std::size_t lanes) const;
-  /// Shared body of the single-request and fused blocked walks. `Fill`
-  /// supplies the two draw sites (parameter-slot rows and stochastic
-  /// constants); `stride` is the allocated row width (kBlockTrials for the
-  /// single walk, requests * kBlockTrials when fused) and `lanes` the
-  /// occupied prefix of each row.
+  /// trials at once against the workspace's SoA rows. `Fill` supplies the
+  /// two draw sites (parameter-slot rows and stochastic constants);
+  /// `stride` is the allocated row width (requests * kBlockTrials) and
+  /// `lanes` the occupied prefix of each row.
   template <class Fill>
   void exec_blocked_impl(Fill& fill, EvalWorkspace& ws, std::uint32_t lo,
                          std::uint32_t hi, std::size_t lanes,
                          std::size_t stride) const;
-  void exec_stochastic_fused(const LaneEnvironment& env,
-                             EvalWorkspace& ws) const;
-  void exec_point_fused(const LaneEnvironment& env, EvalWorkspace& ws) const;
+  /// The one blocked Monte-Carlo driver: lane k of `env` draws from
+  /// rngs[k] in next_block_width blocks until rules[k] stops it, leaving
+  /// its samples in ws.adaptive_samples[k] and its estimator in
+  /// ws.adaptive_est[k]. The solo entry points run it with one lane.
+  template <class Env>
+  void sample_blocks(const Env& env, std::span<support::Rng> rngs,
+                     std::span<const stats::StopRule> rules,
+                     EvalWorkspace& ws) const;
+  /// sample_blocks summarized per lane into `out`, with the folded
+  /// point-program short-circuit.
+  template <class Env>
+  void sample_adaptive_lanes(const Env& env, std::span<support::Rng> rngs,
+                             std::span<const stats::StopRule> rules,
+                             EvalWorkspace& ws,
+                             std::span<AdaptiveResult> out) const;
 
   std::vector<Node> nodes_;                       ///< post-order; root last
   std::vector<std::uint32_t> operands_;           ///< group operand node ids

@@ -1,5 +1,7 @@
 #include "serve/epoch.hpp"
 
+#include <cmath>
+
 #include "support/error.hpp"
 
 namespace sspred::serve {
@@ -34,6 +36,12 @@ EpochPtr NwsBridge::publish() {
     transform = transform_;
   }
   if (transform) transform(values);
+  for (auto& [resource, value] : values) {
+    const double cap = kMaxRelativeHalfwidth * std::abs(value.mean());
+    if (value.halfwidth() > cap) {
+      value = stoch::StochasticValue(value.mean(), cap);
+    }
+  }
   const std::lock_guard lock(mutex_);
   auto epoch =
       std::make_shared<const BindingsEpoch>(next_version_++, std::move(values));

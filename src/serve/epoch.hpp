@@ -59,6 +59,12 @@ class BindingsEpoch {
 
 using EpochPtr = std::shared_ptr<const BindingsEpoch>;
 
+/// Largest published half-width as a fraction of the binding's |mean|.
+/// Structural models divide by loads and bandwidths, so a binding whose
+/// interval reaches zero would fail every request that binds it; capping
+/// at 98% keeps each positive binding's lower bound strictly positive.
+inline constexpr double kMaxRelativeHalfwidth = 0.98;
+
 /// Publishes consistent epochs from a live nws::Service.
 ///
 /// Single conceptual writer (whoever calls publish()), many readers
@@ -80,7 +86,8 @@ class NwsBridge {
   /// Forecasts every tracked resource and installs the result as the new
   /// current epoch. Resources with insufficient history are skipped (a
   /// request needing one gets a structured lookup error, not a crash).
-  /// Returns the published epoch.
+  /// After the transform, every half-width is capped at
+  /// kMaxRelativeHalfwidth of its |mean|. Returns the published epoch.
   EpochPtr publish();
 
   /// Installs (or, with a null transform, removes) the transform applied

@@ -15,6 +15,7 @@
 // the TSan stress target for concurrent submit during fused dequeue).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstddef>
@@ -164,10 +165,19 @@ TEST(FusedEngine, SampleFusedBitMatchesStandaloneBlockedOnRandomDags) {
 TEST(FusedEngine, EvaluateFusedMatchesPerLaneEvaluateOnRandomDags) {
   constexpr std::size_t kDags = 12;
   constexpr std::size_t kLanes = 7;
+  // The solo walks are the one-lane instance of the fused ones, so each
+  // lane is also held to the Expr tree, which shares no code with either
+  // (relative tolerance of tests/compile_test.cpp).
+  const auto expect_close = [](double a, double b, const std::string& what) {
+    const double scale = std::max({1.0, std::abs(a), std::abs(b)});
+    EXPECT_LE(std::abs(a - b), 1e-12 * scale) << what << ": " << a << " vs "
+                                              << b;
+  };
   for (std::size_t d = 0; d < kDags; ++d) {
     support::Rng gen(52000 + d);
     std::vector<ExprPtr> pool;
-    const ir::Program prog = compile(*random_expr(gen, 4, pool));
+    const ExprPtr expr = random_expr(gen, 4, pool);
+    const ir::Program prog = compile(*expr);
     ir::LaneEnvironment fused = prog.make_lane_environment(kLanes);
     std::vector<ir::SlotEnvironment> solos;
     for (std::size_t k = 0; k < kLanes; ++k) {
@@ -184,6 +194,16 @@ TEST(FusedEngine, EvaluateFusedMatchesPerLaneEvaluateOnRandomDags) {
       expect_sv_eq(values[k], prog.evaluate(solos[k]), what + " stochastic");
       EXPECT_DOUBLE_EQ(points[k], prog.evaluate_point(solos[k]))
           << what << " point";
+      Environment tree_env;
+      for (std::uint32_t s = 0; s < prog.slot_count(); ++s) {
+        tree_env.bind(prog.slot_names()[s], solos[k].lookup(s));
+      }
+      const StochasticValue tree = expr->evaluate(tree_env);
+      expect_close(values[k].mean(), tree.mean(), what + " tree mean");
+      expect_close(values[k].halfwidth(), tree.halfwidth(),
+                   what + " tree halfwidth");
+      expect_close(points[k], expr->evaluate_point(tree_env),
+                   what + " tree point");
     }
   }
 }

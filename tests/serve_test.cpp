@@ -410,6 +410,27 @@ TEST(ServeEpoch, BridgeTransformInstallAndPublishAreRaceFree) {
   EXPECT_FALSE(bad.load());
 }
 
+// A binding whose interval spans zero would fail every model that divides
+// by it, so publish caps half-widths after any transform: the published
+// lower bound stays strictly positive.
+TEST(ServeEpoch, PublishCapsZeroSpanningBindingsAfterTheTransform) {
+  nws::ServiceOptions nws_options;
+  nws_options.history_capacity = 64;
+  nws_options.warmup = 4;
+  nws::Service nws_service(nws_options);
+  for (int i = 0; i < 16; ++i) nws_service.observe("cpu/a", 0.8);
+  NwsBridge bridge(nws_service, {"cpu/a"});
+  bridge.set_transform(
+      [](std::map<std::string, stoch::StochasticValue>& values) {
+        values.at("cpu/a") = stoch::StochasticValue(0.088, 0.157);
+      });
+
+  const auto v = bridge.publish()->lookup("cpu/a");
+  EXPECT_DOUBLE_EQ(v.mean(), 0.088);
+  EXPECT_DOUBLE_EQ(v.halfwidth(), 0.98 * 0.088);
+  EXPECT_GT(v.lower(), 0.0);
+}
+
 TEST(ServeService, StochasticPredictionMatchesDirectModel) {
   const auto spec = small_spec();
   const auto loads = loads_for(2);
