@@ -50,7 +50,7 @@ int main() {
     const double t_blocks =
         sor::run_distributed_block_sor(e2, p2, blocks).total_time;
 
-    const predict::BlockStructuralModel model(
+    const auto model = predict::block_sor_model(
         cluster::dedicated_platform(c.hosts), c.n, 10, c.pr, c.pc);
     const std::vector<stoch::StochasticValue> loads(
         c.hosts, stoch::StochasticValue(1.0));

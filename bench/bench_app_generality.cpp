@@ -33,7 +33,7 @@ int main() {
     cfg.iterations = 20;
     cfg.real_numerics = false;
     const auto spec = cluster::dedicated_platform(4);
-    const predict::JacobiStructuralModel model(spec, n, cfg.iterations);
+    const auto model = predict::jacobi_model(spec, n, cfg.iterations);
     const std::vector<stoch::StochasticValue> loads(
         4, stoch::StochasticValue(1.0));
     const double predicted =
@@ -76,7 +76,7 @@ int main() {
     cfg.n = 1000;
     cfg.iterations = 15;
     cfg.real_numerics = false;
-    const predict::JacobiStructuralModel model(spec, cfg.n, cfg.iterations);
+    const auto model = predict::jacobi_model(spec, cfg.n, cfg.iterations);
     const auto pred = model.predict(model.make_env(loads, {0.525, 0.12}));
     const double actual =
         sor::run_distributed_jacobi(engine, platform, cfg,

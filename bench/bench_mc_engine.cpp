@@ -69,7 +69,7 @@ Case sor_case(const std::string& name, const cluster::PlatformSpec& platform,
   sor::SorConfig cfg;
   cfg.n = n;
   cfg.iterations = iterations;
-  const predict::SorStructuralModel model(platform, cfg);
+  const auto model = predict::sor_model(platform, cfg);
   const std::vector<StochasticValue> loads(platform.hosts.size(),
                                            StochasticValue(0.62, 0.08));
   model::ir::Program prog = model.program();

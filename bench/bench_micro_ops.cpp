@@ -161,14 +161,14 @@ struct SorFixture {
         model.make_slot_env(loads, stoch::StochasticValue(0.525, 0.06)));
   }
 
-  static predict::SorStructuralModel make_model() {
+  static predict::StructuralModel make_model() {
     sor::SorConfig cfg;
     cfg.n = 600;
     cfg.iterations = 20;
-    return predict::SorStructuralModel(cluster::platform2(), cfg);
+    return predict::sor_model(cluster::platform2(), cfg);
   }
 
-  predict::SorStructuralModel model;
+  predict::StructuralModel model;
   model::Environment env;
   std::unique_ptr<model::ir::SlotEnvironment> slots;
 };

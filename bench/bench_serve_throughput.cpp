@@ -65,8 +65,8 @@ void BM_BaselineRecompileLoop(benchmark::State& state) {
   const auto spec = bench_spec();
   std::size_t i = 0;
   for (auto _ : state) {
-    const predict::SorStructuralModel model(spec.platform, spec.config,
-                                            spec.options);
+    const auto model = predict::sor_model(spec.platform, spec.config,
+                                          spec.options);
     benchmark::DoNotOptimize(model.predict(
         model.make_slot_env(loads_at(i++), stoch::StochasticValue(1.0))));
   }

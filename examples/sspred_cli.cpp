@@ -205,7 +205,7 @@ int cmd_predict(const std::map<std::string, std::string>& opts) {
   }
   const auto bwavail = parse_sv(get(opts, "bwavail", "1:0"));
 
-  const predict::SorStructuralModel model(spec, cfg);
+  const auto model = predict::sor_model(spec, cfg);
   // Bind by slot into the compiled program (model/ir.hpp) — prediction
   // and breakdown share one slot environment.
   const auto env = model.make_slot_env(loads, bwavail);

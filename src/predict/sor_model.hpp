@@ -1,5 +1,6 @@
-// The paper's structural model for distributed Red-Black SOR (§2.2.1),
-// instantiated for a platform + problem configuration:
+// The paper's structural model (§2.2.1): per-host compute components, a
+// shared communication component, composed into one iteration and
+// repeated NumIts times. For distributed Red-Black SOR:
 //
 //   ExTime = Σ_{i=1}^{NumIts} [ Max_p{RedComp_p} + Max_p{RedComm_p}
 //                             + Max_p{BlackComp_p} + Max_p{BlackComm_p} ]
@@ -10,11 +11,14 @@
 // `load_p` and `BWAvail` are model parameters that may be bound to point
 // or stochastic values; everything else is a compile-time point value.
 //
-// Two-phase lifecycle: each model authors its expression as an Expr tree,
-// then compiles it once at construction to the flat slot-indexed IR
-// (model/ir.hpp). predict()/predict_point()/breakdown() are served from
-// the compiled program; the tree stays reachable through expr() as the
-// authoring form and differential-testing oracle.
+// One class, StructuralModel, holds every model. Applications differ only
+// in their components, so each is an authoring function — sor_model(),
+// block_sor_model(), jacobi_model() — that builds the per-host compute
+// terms, the communication term and one iteration; the class names the
+// parameters, iterates, compiles once to the flat slot-indexed IR
+// (model/ir.hpp) and serves every prediction from the compiled program.
+// The tree stays reachable through expr() as the authoring form and
+// differential-testing oracle.
 //
 // Substitution note (documented in DESIGN.md): on a shared segment the
 // per-pair "dedicated bandwidth" during a phase is the segment bandwidth
@@ -23,14 +27,14 @@
 // ethernet folds the same effect in.
 #pragma once
 
+#include <functional>
+#include <span>
 #include <string>
 #include <vector>
 
 #include "cluster/platform.hpp"
 #include "model/compile.hpp"
 #include "model/expr.hpp"
-#include "sor/block.hpp"
-#include "sor/decomposition.hpp"
 #include "sor/distributed.hpp"
 
 namespace sspred::predict {
@@ -63,11 +67,26 @@ struct SorModelOptions {
   bool account_memory = false;
 };
 
-class SorStructuralModel {
+/// What an application contributes to its structural model.
+struct ModelComponents {
+  std::vector<model::ExprPtr> comp;  ///< per host, one compute phase each
+  model::ExprPtr comm;               ///< one communication phase, shared
+  model::ExprPtr iteration;          ///< one iteration built from the above
+};
+
+class StructuralModel {
  public:
-  SorStructuralModel(const cluster::PlatformSpec& platform,
-                     const sor::SorConfig& config,
-                     SorModelOptions options = {});
+  /// Builds an application's components from the per-host load parameter
+  /// names (the bandwidth parameter is bwavail_param()).
+  using Author =
+      std::function<ModelComponents(std::span<const std::string> load_params)>;
+
+  /// Checks the platform has hosts, names their load parameters, runs
+  /// `author`, repeats its iteration `iterations` times under
+  /// `iteration_dependence` and compiles the result once.
+  StructuralModel(const cluster::PlatformSpec& platform,
+                  std::size_t iterations,
+                  stoch::Dependence iteration_dependence, const Author& author);
 
   /// The authored expression tree (parameters: load params + "bwavail").
   [[nodiscard]] const model::ExprPtr& expr() const noexcept { return expr_; }
@@ -87,8 +106,10 @@ class SorStructuralModel {
   [[nodiscard]] static std::string bwavail_param() { return "bwavail"; }
   /// True when the model has a bandwidth parameter (more than one host).
   [[nodiscard]] bool uses_bandwidth() const noexcept {
-    return program_.has_slot(bwavail_param());
+    return bwavail_slot_ != kNoSlot;
   }
+  /// Slot id of the bandwidth parameter; requires uses_bandwidth().
+  [[nodiscard]] std::uint32_t bwavail_slot() const;
 
   /// Environment with all loads and bwavail bound (string-keyed bridge).
   [[nodiscard]] model::Environment make_env(
@@ -125,10 +146,6 @@ class SorStructuralModel {
       std::size_t trials = 10'000,
       model::ir::SampleOrder order = model::ir::SampleOrder::kBlocked) const;
 
-  [[nodiscard]] const sor::StripDecomposition& decomposition() const noexcept {
-    return decomp_;
-  }
-
   /// Where a prediction comes from: per-host compute components and the
   /// shared communication component, per iteration and for the whole run.
   struct Breakdown {
@@ -141,94 +158,43 @@ class SorStructuralModel {
 
   /// Evaluates the component models separately (same calculus as
   /// predict()) so users can see which host/phase drives the prediction.
-  /// Component programs share the main program's slot table, so one slot
-  /// environment drives all of them.
+  /// The component programs are compiled on each call against the main
+  /// program's slot table, so one slot environment drives all of them.
   [[nodiscard]] Breakdown breakdown(const model::ir::SlotEnvironment& env) const;
   [[nodiscard]] Breakdown breakdown(const model::Environment& env) const;
 
  private:
-  sor::StripDecomposition decomp_;
+  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
+
   std::vector<std::string> load_params_;
-  std::vector<model::ExprPtr> comp_exprs_;  ///< one phase, per host
-  model::ExprPtr comm_expr_;                ///< one phase, shared
-  model::ExprPtr iteration_expr_;
+  ModelComponents parts_;
   model::ExprPtr expr_;
-  model::ir::Program program_;                     ///< compiled expr_
-  std::vector<model::ir::Program> comp_programs_;  ///< compiled comp_exprs_
-  model::ir::Program comm_program_;
-  model::ir::Program iteration_program_;
+  model::ir::Program program_;  ///< compiled expr_
   std::vector<std::uint32_t> load_slots_;
+  std::uint32_t bwavail_slot_ = kNoSlot;
 };
 
-/// Structural model for the 2-D block-decomposed SOR: same per-phase
-/// compute as strips (half the local elements), but the ghost exchange
-/// moves O(n·(pr+pc)) bytes instead of O(n·P).
-class BlockStructuralModel {
- public:
-  BlockStructuralModel(const cluster::PlatformSpec& platform, std::size_t n,
-                       std::size_t iterations, std::size_t pr, std::size_t pc,
-                       SorModelOptions options = {});
+/// Red-Black SOR over a strip decomposition (config.rows_per_rank, or
+/// uniform strips when empty).
+[[nodiscard]] StructuralModel sor_model(const cluster::PlatformSpec& platform,
+                                        const sor::SorConfig& config,
+                                        SorModelOptions options = {});
 
-  [[nodiscard]] const model::ExprPtr& expr() const noexcept { return expr_; }
-  [[nodiscard]] const model::ir::Program& program() const noexcept {
-    return program_;
-  }
-  [[nodiscard]] model::Environment make_env(
-      std::span<const stoch::StochasticValue> loads,
-      stoch::StochasticValue bwavail) const;
-  [[nodiscard]] model::ir::SlotEnvironment make_slot_env(
-      std::span<const stoch::StochasticValue> loads,
-      stoch::StochasticValue bwavail) const;
-  [[nodiscard]] stoch::StochasticValue predict(
-      const model::ir::SlotEnvironment& env) const;
-  [[nodiscard]] stoch::StochasticValue predict(
-      const model::Environment& env) const;
-  [[nodiscard]] double predict_point(
-      const model::ir::SlotEnvironment& env) const;
-  [[nodiscard]] double predict_point(const model::Environment& env) const;
+/// Red-Black SOR over a pr×pc block decomposition: same per-phase compute
+/// as strips (half the local elements), but the ghost exchange moves
+/// O(n·(pr+pc)) bytes instead of O(n·P).
+[[nodiscard]] StructuralModel block_sor_model(
+    const cluster::PlatformSpec& platform, std::size_t n,
+    std::size_t iterations, std::size_t pr, std::size_t pc,
+    SorModelOptions options = {});
 
- private:
-  std::vector<std::string> load_params_;
-  model::ExprPtr expr_;
-  model::ir::Program program_;
-  std::vector<std::uint32_t> load_slots_;
-};
-
-/// Structural model for the distributed Jacobi application (one full
-/// sweep + one ghost exchange per iteration):
+/// The distributed Jacobi application (one full sweep + one ghost
+/// exchange per iteration):
 ///   ExTime = Σ_{i=1}^{NumIts} [ Max_p{Comp_p} + Comm ]
 /// Demonstrates that structural modeling composes for applications beyond
 /// the paper's SOR.
-class JacobiStructuralModel {
- public:
-  JacobiStructuralModel(const cluster::PlatformSpec& platform,
-                        std::size_t n, std::size_t iterations,
-                        SorModelOptions options = {});
-
-  [[nodiscard]] const model::ExprPtr& expr() const noexcept { return expr_; }
-  [[nodiscard]] const model::ir::Program& program() const noexcept {
-    return program_;
-  }
-  [[nodiscard]] const std::string& load_param(std::size_t host) const;
-  [[nodiscard]] model::Environment make_env(
-      std::span<const stoch::StochasticValue> loads,
-      stoch::StochasticValue bwavail) const;
-  [[nodiscard]] model::ir::SlotEnvironment make_slot_env(
-      std::span<const stoch::StochasticValue> loads,
-      stoch::StochasticValue bwavail) const;
-  [[nodiscard]] stoch::StochasticValue predict(
-      const model::ir::SlotEnvironment& env) const;
-  [[nodiscard]] stoch::StochasticValue predict(
-      const model::Environment& env) const;
-  [[nodiscard]] double predict_point(
-      const model::ir::SlotEnvironment& env) const;
-  [[nodiscard]] double predict_point(const model::Environment& env) const;
-
- private:
-  std::vector<std::string> load_params_;
-  model::ExprPtr expr_;
-  model::ir::Program program_;
-  std::vector<std::uint32_t> load_slots_;
-};
+[[nodiscard]] StructuralModel jacobi_model(
+    const cluster::PlatformSpec& platform, std::size_t n,
+    std::size_t iterations, SorModelOptions options = {});
 
 }  // namespace sspred::predict

@@ -18,8 +18,6 @@
 #include <memory>
 #include <mutex>
 #include <string>
-#include <variant>
-#include <vector>
 
 #include "cluster/platform.hpp"
 #include "predict/sor_model.hpp"
@@ -43,38 +41,13 @@ struct ModelSpec {
   [[nodiscard]] std::string structure_key() const;
 };
 
-/// A compiled structural model with uniform slot accessors over the
-/// three application model classes. Immutable after construction;
-/// concurrent evaluation is safe with per-thread SlotEnvironment +
-/// EvalWorkspace (see model/ir.hpp).
-class CompiledModel {
+/// The structural model a ModelSpec describes, authored by the function
+/// spec.app names (predict::sor_model, block_sor_model, jacobi_model).
+/// Immutable after construction; concurrent evaluation is safe with
+/// per-thread SlotEnvironment + EvalWorkspace (see model/ir.hpp).
+class CompiledModel : public predict::StructuralModel {
  public:
   explicit CompiledModel(const ModelSpec& spec);
-
-  [[nodiscard]] const ModelSpec& spec() const noexcept { return spec_; }
-  [[nodiscard]] const model::ir::Program& program() const noexcept;
-
-  [[nodiscard]] std::size_t hosts() const noexcept {
-    return load_slots_.size();
-  }
-  /// Slot id of host p's load parameter.
-  [[nodiscard]] std::uint32_t load_slot(std::size_t p) const;
-  [[nodiscard]] bool uses_bandwidth() const noexcept {
-    return bwavail_slot_ != kNoSlot;
-  }
-  /// Slot id of the bandwidth-availability parameter; requires
-  /// uses_bandwidth().
-  [[nodiscard]] std::uint32_t bwavail_slot() const;
-
- private:
-  static constexpr std::uint32_t kNoSlot = 0xffffffffu;
-
-  ModelSpec spec_;
-  std::variant<predict::SorStructuralModel, predict::BlockStructuralModel,
-               predict::JacobiStructuralModel>
-      impl_;
-  std::vector<std::uint32_t> load_slots_;
-  std::uint32_t bwavail_slot_ = kNoSlot;
 };
 
 using CompiledModelPtr = std::shared_ptr<const CompiledModel>;
@@ -106,12 +79,6 @@ class ProgramCache {
   [[nodiscard]] std::uint64_t compile_count() const noexcept {
     return compiles_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] std::uint64_t hit_count() const noexcept {
-    return hits_.load(std::memory_order_relaxed);
-  }
-  [[nodiscard]] std::uint64_t miss_count() const noexcept {
-    return misses_.load(std::memory_order_relaxed);
-  }
   [[nodiscard]] std::size_t size() const;
 
   void clear();
@@ -130,8 +97,6 @@ class ProgramCache {
   mutable std::mutex mutex_;  ///< guards slots_ (not the slots themselves)
   std::map<std::string, std::shared_ptr<Slot>> slots_;
   std::atomic<std::uint64_t> compiles_{0};
-  std::atomic<std::uint64_t> hits_{0};
-  std::atomic<std::uint64_t> misses_{0};
 };
 
 }  // namespace sspred::serve

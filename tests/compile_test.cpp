@@ -323,7 +323,7 @@ TEST(Compiled, SorModelServesIdenticalPredictions) {
   sor::SorConfig cfg;
   cfg.n = 400;
   cfg.iterations = 15;
-  const predict::SorStructuralModel model(spec, cfg);
+  const auto model = predict::sor_model(spec, cfg);
   std::vector<StochasticValue> loads = {
       {0.48, 0.05}, {0.92, 0.03}, {0.92, 0.03}, {0.92, 0.03}};
   const StochasticValue bw(0.525, 0.06);

@@ -274,7 +274,7 @@ TEST(Breakdown, ComponentsComposeToTotal) {
   sor::SorConfig cfg;
   cfg.n = 800;
   cfg.iterations = 12;
-  const predict::SorStructuralModel model(spec, cfg);
+  const auto model = predict::sor_model(spec, cfg);
   const std::vector<StochasticValue> loads{
       {0.48, 0.05}, {0.92, 0.03}, {0.92, 0.03}, {0.92, 0.03}};
   const auto env = model.make_env(loads, {0.525, 0.12});

@@ -36,6 +36,33 @@ ModelSpec small_spec(std::size_t n = 200, std::size_t hosts = 2) {
   return spec;
 }
 
+constexpr ModelSpec::App kApps[] = {
+    ModelSpec::App::kSor, ModelSpec::App::kBlockSor, ModelSpec::App::kJacobi};
+
+/// small_spec() on two hosts, authored as `app` (Block-SOR on a 1x2 grid).
+ModelSpec app_spec(ModelSpec::App app) {
+  ModelSpec spec = small_spec();
+  spec.app = app;
+  spec.pc = 2;
+  return spec;
+}
+
+/// The model spec's authoring function builds, called directly.
+predict::StructuralModel direct_model(const ModelSpec& spec) {
+  switch (spec.app) {
+    case ModelSpec::App::kSor:
+      return predict::sor_model(spec.platform, spec.config, spec.options);
+    case ModelSpec::App::kBlockSor:
+      return predict::block_sor_model(spec.platform, spec.config.n,
+                                      spec.config.iterations, spec.pr, spec.pc,
+                                      spec.options);
+    case ModelSpec::App::kJacobi:
+      return predict::jacobi_model(spec.platform, spec.config.n,
+                                   spec.config.iterations, spec.options);
+  }
+  throw support::Error("unknown ModelSpec app");
+}
+
 std::vector<stoch::StochasticValue> loads_for(std::size_t hosts) {
   std::vector<stoch::StochasticValue> loads;
   for (std::size_t i = 0; i < hosts; ++i) {
@@ -252,6 +279,8 @@ TEST(ServeProgramCache, FailedCompilationIsSingleFlightAndCached) {
   for (const auto& error : errors) {
     EXPECT_NE(error.find("model compilation failed"), std::string::npos)
         << error;
+    EXPECT_NE(error.find("platform has no hosts"), std::string::npos)
+        << error;
     EXPECT_EQ(error, errors[0]);
   }
   try {
@@ -308,8 +337,8 @@ TEST(ServeEpoch, RequestsPinTheSubmitTimeEpochUnderConcurrentPublishes) {
   };
 
   // Reference evaluation per version, outside the service.
-  const predict::SorStructuralModel direct(spec.platform, spec.config,
-                                           spec.options);
+  const auto direct = predict::sor_model(spec.platform, spec.config,
+                                         spec.options);
   std::map<std::uint64_t, stoch::StochasticValue> expected;
   for (std::uint64_t k = 1; k <= kEpochs; ++k) {
     expected.emplace(k, direct.predict(direct.make_slot_env(
@@ -432,38 +461,42 @@ TEST(ServeEpoch, PublishCapsZeroSpanningBindingsAfterTheTransform) {
 }
 
 TEST(ServeService, StochasticPredictionMatchesDirectModel) {
-  const auto spec = small_spec();
-  const auto loads = loads_for(2);
+  for (const auto app : kApps) {
+    SCOPED_TRACE(static_cast<int>(app));
+    const auto spec = app_spec(app);
+    const auto loads = loads_for(2);
 
-  PredictionService service(options_with(2));
-  service.register_model("sor", spec);
-  const auto result =
-      service.submit(stochastic_request("sor", loads)).get();
-  ASSERT_TRUE(result.ok()) << result.error;
+    PredictionService service(options_with(2));
+    service.register_model("m", spec);
+    const auto result = service.submit(stochastic_request("m", loads)).get();
+    ASSERT_TRUE(result.ok()) << result.error;
 
-  const predict::SorStructuralModel direct(spec.platform, spec.config,
-                                           spec.options);
-  const auto expected =
-      direct.predict(direct.make_slot_env(loads, stoch::StochasticValue(1.0)));
-  EXPECT_DOUBLE_EQ(result.value.mean(), expected.mean());
-  EXPECT_DOUBLE_EQ(result.value.halfwidth(), expected.halfwidth());
+    const auto direct = direct_model(spec);
+    const auto env = direct.make_slot_env(loads, stoch::StochasticValue(1.0));
+    const auto expected = direct.predict(env);
+    EXPECT_DOUBLE_EQ(result.value.mean(), expected.mean());
+    EXPECT_DOUBLE_EQ(result.value.halfwidth(), expected.halfwidth());
+    EXPECT_EQ(direct.breakdown(env).total, expected);
+  }
 }
 
 TEST(ServeService, PointModeMatchesDirectPointPrediction) {
-  const auto spec = small_spec();
-  const auto loads = loads_for(2);
-  PredictionService service(options_with(1));
-  service.register_model("sor", spec);
-  auto request = stochastic_request("sor", loads);
-  request.mode = Mode::kPoint;
-  const auto result = service.submit(std::move(request)).get();
-  ASSERT_TRUE(result.ok()) << result.error;
-  const predict::SorStructuralModel direct(spec.platform, spec.config,
-                                           spec.options);
-  const double expected = direct.predict_point(
-      direct.make_slot_env(loads, stoch::StochasticValue(1.0)));
-  EXPECT_DOUBLE_EQ(result.point, expected);
-  EXPECT_DOUBLE_EQ(result.value.halfwidth(), 0.0);
+  for (const auto app : kApps) {
+    SCOPED_TRACE(static_cast<int>(app));
+    const auto spec = app_spec(app);
+    const auto loads = loads_for(2);
+    PredictionService service(options_with(1));
+    service.register_model("m", spec);
+    auto request = stochastic_request("m", loads);
+    request.mode = Mode::kPoint;
+    const auto result = service.submit(std::move(request)).get();
+    ASSERT_TRUE(result.ok()) << result.error;
+    const auto direct = direct_model(spec);
+    const double expected = direct.predict_point(
+        direct.make_slot_env(loads, stoch::StochasticValue(1.0)));
+    EXPECT_DOUBLE_EQ(result.point, expected);
+    EXPECT_DOUBLE_EQ(result.value.halfwidth(), 0.0);
+  }
 }
 
 TEST(ServeService, ChunkedMonteCarloIsDeterministicAndSane) {

@@ -397,9 +397,9 @@ TEST(ShardedService, EpochPinningHoldsAcrossShardsUnderConcurrentPublish) {
   std::vector<std::map<std::uint64_t, stoch::StochasticValue>> expected(
       specs.size());
   for (std::size_t f = 0; f < specs.size(); ++f) {
-    const predict::SorStructuralModel direct(specs[f].platform,
-                                             specs[f].config,
-                                             specs[f].options);
+    const auto direct = predict::sor_model(specs[f].platform,
+                                           specs[f].config,
+                                           specs[f].options);
     for (std::uint64_t k = 1; k <= kEpochs; ++k) {
       expected[f].emplace(
           k, direct.predict(direct.make_slot_env(
@@ -549,8 +549,8 @@ TEST(ShardedService, ProgramCacheNeverServesStaleStructureUnderChurn) {
   const auto loads = loads_for(2);
 
   const auto reference = [&](const ModelSpec& spec) {
-    const predict::SorStructuralModel direct(spec.platform, spec.config,
-                                             spec.options);
+    const auto direct = predict::sor_model(spec.platform, spec.config,
+                                           spec.options);
     return direct.predict(
         direct.make_slot_env(loads, stoch::StochasticValue(1.0)));
   };
