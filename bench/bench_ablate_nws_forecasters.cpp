@@ -42,35 +42,36 @@ int main() {
   std::string last_winner;
   std::size_t evals = 0;
 
+  std::vector<double> preds(kWindow - kWarmup + 1);
+  std::vector<double> next(bank.size());
   for (std::size_t t = kWindow; t + 1 < xs.size(); t += 7) {
     const std::span<const double> history(xs.data() + t - kWindow, kWindow);
     const double actual_next = xs[t];
 
-    // Fixed forecasters.
-    for (std::size_t f = 0; f < bank.size(); ++f) {
-      const double err = bank[f]->predict(history) - actual_next;
-      fixed_se[f] += err * err;
-    }
-
-    // Dynamic selection: postcast inside the window, pick the best.
+    // One postcast pass per forecaster gives both its errors inside the
+    // window (for dynamic selection) and, in its last slot, its fixed
+    // prediction of the next value.
     std::size_t best = 0;
     double best_mse = 1e300;
     for (std::size_t f = 0; f < bank.size(); ++f) {
+      bank[f]->postcast(history, kWarmup, preds);
       double se = 0.0;
       std::size_t n = 0;
       for (std::size_t i = kWarmup; i < history.size(); ++i) {
-        const double err =
-            bank[f]->predict(history.subspan(0, i)) - history[i];
+        const double err = preds[i - kWarmup] - history[i];
         se += err * err;
         ++n;
       }
+      next[f] = preds.back();
+      const double err = next[f] - actual_next;
+      fixed_se[f] += err * err;
       const double mse = se / static_cast<double>(n);
       if (mse < best_mse) {
         best_mse = mse;
         best = f;
       }
     }
-    const double err = bank[best]->predict(history) - actual_next;
+    const double err = next[best] - actual_next;
     dynamic_se += err * err;
     if (bank[best]->name() != last_winner) {
       if (!last_winner.empty()) ++dynamic_switches;

@@ -1,11 +1,13 @@
 // M1 microbenchmarks (google-benchmark): throughput of the core
 // primitives — stochastic arithmetic, Clark max, normal quantiles, GMM
 // fitting, DES event processing, channel round-trips, load-trace
-// integration, the SOR sweep kernel, and tree-vs-compiled structural
-// model evaluation (results recorded in BENCH_compiled_ir.json).
+// integration, the SOR sweep kernel, tree-vs-compiled structural model
+// evaluation, and the NWS forecast and epoch publish (results recorded in
+// BENCH_compiled_ir.json).
 #include <benchmark/benchmark.h>
 
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "bench_util.hpp"
@@ -13,7 +15,9 @@
 #include "machine/load_trace.hpp"
 #include "model/compile.hpp"
 #include "model/expr.hpp"
+#include "nws/service.hpp"
 #include "predict/sor_model.hpp"
+#include "serve/epoch.hpp"
 #include "sim/engine.hpp"
 #include "sim/sync.hpp"
 #include "sor/serial.hpp"
@@ -295,6 +299,50 @@ void BM_ModelCompiledMonteCarlo10kScalarOrder(benchmark::State& state) {
 }
 BENCHMARK(BM_ModelCompiledMonteCarlo10kScalarOrder)
     ->Unit(benchmark::kMillisecond);
+
+// --- The NWS layer: one forecast (every forecaster postcast over the
+// history, best by MSE) and one epoch publish, on Platform-1 load traces
+// sampled once a second.
+
+std::vector<double> platform1_load_samples(std::size_t n, std::uint64_t seed) {
+  const machine::LoadTrace trace = machine::LoadTrace::generate(
+      cluster::platform1_load(), n, 1.0, seed);
+  return {trace.samples().begin(), trace.samples().end()};
+}
+
+void BM_NwsForecast(benchmark::State& state) {
+  // A full history of range(0) samples.
+  const auto n = static_cast<std::size_t>(state.range(0));
+  nws::Service svc(nws::ServiceOptions{n});
+  for (double v : platform1_load_samples(n, 1000)) svc.observe("cpu/0", v);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(svc.forecast("cpu/0"));
+  }
+}
+BENCHMARK(BM_NwsForecast)
+    ->Arg(64)
+    ->Arg(192)
+    ->Arg(512)
+    ->Unit(benchmark::kMicrosecond);
+
+void BM_NwsBridgePublish(benchmark::State& state) {
+  // Eight hosts with full 192-sample histories: one forecast per host.
+  constexpr std::size_t kHosts = 8;
+  constexpr std::size_t kHistory = 192;
+  nws::Service svc(nws::ServiceOptions{kHistory});
+  std::vector<std::string> resources;
+  for (std::size_t h = 0; h < kHosts; ++h) {
+    resources.push_back("cpu/" + std::to_string(h));
+    for (double v : platform1_load_samples(kHistory, 1000 + h)) {
+      svc.observe(resources.back(), v);
+    }
+  }
+  serve::NwsBridge bridge(svc, resources);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(bridge.publish());
+  }
+}
+BENCHMARK(BM_NwsBridgePublish)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 

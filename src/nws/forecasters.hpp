@@ -13,26 +13,41 @@
 
 namespace sspred::nws {
 
-/// Interface: predict the next value from `history` (oldest first).
-/// Implementations must be stateless across calls.
+/// Interface: one forward pass over a history (oldest first).
+///
+/// `postcast(history, first, out)` writes into `out[k - first]` the
+/// prediction made from the prefix `history[0..k)`, for every prefix
+/// length `k` in `[first, n]` where `n = history.size()`. It requires
+/// `1 <= first <= n` and `out.size() == n - first + 1`. Each slot is
+/// exactly (bit for bit) what the forecaster would predict from that
+/// prefix alone: no state outlives the call, so the result depends only
+/// on the prefix, and concurrent calls on one forecaster are safe. A
+/// pass costs O(n·w) for a window of w samples; AdaptiveMean adds an
+/// O(n²) sum to rescore its windows at every prefix.
 class Forecaster {
  public:
   virtual ~Forecaster() = default;
-  [[nodiscard]] virtual double predict(std::span<const double> history) const = 0;
+  virtual void postcast(std::span<const double> history, std::size_t first,
+                        std::span<double> out) const = 0;
+  /// The prediction from the whole history: the last slot of
+  /// `postcast(history, history.size(), ...)`.
+  [[nodiscard]] double predict(std::span<const double> history) const;
   [[nodiscard]] virtual std::string name() const = 0;
 };
 
 /// Predicts the most recent value.
 class LastValue final : public Forecaster {
  public:
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void postcast(std::span<const double> history, std::size_t first,
+                std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "last"; }
 };
 
 /// Predicts the mean of the entire history.
 class RunningMean final : public Forecaster {
  public:
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void postcast(std::span<const double> history, std::size_t first,
+                std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "mean"; }
 };
 
@@ -40,7 +55,8 @@ class RunningMean final : public Forecaster {
 class SlidingMean final : public Forecaster {
  public:
   explicit SlidingMean(std::size_t window);
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void postcast(std::span<const double> history, std::size_t first,
+                std::span<double> out) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
@@ -48,10 +64,12 @@ class SlidingMean final : public Forecaster {
 };
 
 /// Predicts the median of the last `window` values (robust to bursts).
+/// Values must not be NaN: the pass keeps the window sorted.
 class SlidingMedian final : public Forecaster {
  public:
   explicit SlidingMedian(std::size_t window);
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void postcast(std::span<const double> history, std::size_t first,
+                std::span<double> out) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
@@ -62,7 +80,8 @@ class SlidingMedian final : public Forecaster {
 class ExpSmoothing final : public Forecaster {
  public:
   explicit ExpSmoothing(double alpha);
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void postcast(std::span<const double> history, std::size_t first,
+                std::span<double> out) const override;
   [[nodiscard]] std::string name() const override;
 
  private:
@@ -76,7 +95,8 @@ class AdaptiveMean final : public Forecaster {
  public:
   /// `windows` must be non-empty, ascending.
   explicit AdaptiveMean(std::vector<std::size_t> windows = {5, 10, 20, 50});
-  [[nodiscard]] double predict(std::span<const double> history) const override;
+  void postcast(std::span<const double> history, std::size_t first,
+                std::span<double> out) const override;
   [[nodiscard]] std::string name() const override { return "adaptive"; }
 
  private:

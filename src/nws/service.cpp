@@ -16,6 +16,8 @@ Service::Service(ServiceOptions options)
 }
 
 void Service::observe(const std::string& resource, double value) {
+  SSPRED_REQUIRE(std::isfinite(value),
+                 "non-finite measurement for " + resource);
   const std::unique_lock lock(mutex_);
   auto& h = histories_[resource];
   h.push_back(value);
@@ -40,32 +42,39 @@ std::vector<double> Service::history(const std::string& resource) const {
   return history_locked(resource);
 }
 
-std::vector<std::pair<std::string, double>> Service::postcast_errors_locked(
+std::vector<Service::Score> Service::score_locked(
     const std::string& resource) const {
   const std::vector<double> h = history_locked(resource);
   SSPRED_REQUIRE(h.size() >= options_.warmup + 2,
                  "not enough history to postcast: " + resource);
-  std::vector<std::pair<std::string, double>> errors;
-  errors.reserve(bank_.size());
+  // preds[j] is the prediction from h[0..warmup+j); the last slot
+  // predicts from the whole history.
+  const std::size_t steps = h.size() - options_.warmup;
+  std::vector<double> preds(steps + 1);
+  std::vector<Score> scores;
+  scores.reserve(bank_.size());
   for (const auto& f : bank_) {
+    f->postcast(h, options_.warmup, preds);
     double se = 0.0;
-    std::size_t n = 0;
-    for (std::size_t i = options_.warmup; i < h.size(); ++i) {
-      const double pred =
-          f->predict(std::span<const double>(h.data(), i));
-      const double err = pred - h[i];
+    for (std::size_t j = 0; j < steps; ++j) {
+      const double err = preds[j] - h[options_.warmup + j];
       se += err * err;
-      ++n;
     }
-    errors.emplace_back(f->name(), se / static_cast<double>(n));
+    scores.push_back({se / static_cast<double>(steps), preds[steps]});
   }
-  return errors;
+  return scores;
 }
 
 std::vector<std::pair<std::string, double>> Service::postcast_errors(
     const std::string& resource) const {
   const std::shared_lock lock(mutex_);
-  return postcast_errors_locked(resource);
+  const std::vector<Score> scores = score_locked(resource);
+  std::vector<std::pair<std::string, double>> errors;
+  errors.reserve(scores.size());
+  for (std::size_t f = 0; f < scores.size(); ++f) {
+    errors.emplace_back(bank_[f]->name(), scores[f].mse);
+  }
+  return errors;
 }
 
 void Service::save_csv(const std::string& path) const {
@@ -108,20 +117,19 @@ std::vector<std::string> Service::resources() const {
 
 Forecast Service::forecast(const std::string& resource) const {
   const std::shared_lock lock(mutex_);
-  const std::vector<double> h = history_locked(resource);
-  const auto errors = postcast_errors_locked(resource);
+  const std::vector<Score> scores = score_locked(resource);
   std::size_t best = 0;
   double best_mse = std::numeric_limits<double>::infinity();
-  for (std::size_t i = 0; i < errors.size(); ++i) {
-    if (errors[i].second < best_mse) {
-      best_mse = errors[i].second;
+  for (std::size_t i = 0; i < scores.size(); ++i) {
+    if (scores[i].mse < best_mse) {
+      best_mse = scores[i].mse;
       best = i;
     }
   }
   Forecast fc;
-  fc.value = bank_[best]->predict(h);
+  fc.value = scores[best].next;
   fc.error_sd = std::sqrt(best_mse);
-  fc.forecaster = errors[best].first;
+  fc.forecaster = bank_[best]->name();
   return fc;
 }
 

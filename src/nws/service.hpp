@@ -48,7 +48,8 @@ class Service {
  public:
   explicit Service(ServiceOptions options = {});
 
-  /// Records a measurement for `resource` (e.g. "cpu/sparc2-a").
+  /// Records a measurement for `resource` (e.g. "cpu/sparc2-a"). A
+  /// non-finite value throws and leaves the history unchanged.
   void observe(const std::string& resource, double value);
 
   /// Number of stored measurements for `resource` (0 if unknown).
@@ -69,18 +70,27 @@ class Service {
   void save_csv(const std::string& path) const;
 
   /// Loads histories written by save_csv (appending to current state).
+  /// A non-finite value throws; rows before it stay loaded.
   void load_csv(const std::string& path);
 
   /// All resource names with stored history.
   [[nodiscard]] std::vector<std::string> resources() const;
 
  private:
+  /// A forecaster's postcast MSE and its prediction from the whole
+  /// history.
+  struct Score {
+    double mse = 0.0;
+    double next = 0.0;
+  };
+
   /// history() body without locking; callers hold mutex_ (any mode).
   [[nodiscard]] std::vector<double> history_locked(
       const std::string& resource) const;
-  /// postcast_errors() body without locking; callers hold mutex_.
-  [[nodiscard]] std::vector<std::pair<std::string, double>>
-  postcast_errors_locked(const std::string& resource) const;
+  /// One postcast pass per forecaster over the prefixes [warmup, n] of
+  /// one copy of the history, scored in bank order. Callers hold mutex_.
+  [[nodiscard]] std::vector<Score> score_locked(
+      const std::string& resource) const;
 
   ServiceOptions options_;
   std::vector<std::unique_ptr<Forecaster>> bank_;
